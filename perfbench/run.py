@@ -39,7 +39,7 @@ SRC = os.path.join(ROOT, "src")
 SETUP_REPEATS = 9
 SETUPS_PER_PASS = 3
 # the default run length; BENCHMARK.json's run_seconds
-DEFAULT_SECONDS = 20
+DEFAULT_SECONDS = 30
 
 
 def purge_package() -> None:
@@ -58,32 +58,39 @@ class Run:
 
     A pass is ``SETUPS_PER_PASS`` set-ups followed by the workload's steps
     on the last one, each step timed on its own.  ``solve_s`` adds up, over
-    the steps, the fastest time each step took in the run's passes.
+    the steps, the median time each step took in the run's passes.  Untraced
+    runs scale their times to the reference speed of ``speed.SpeedProbe``.
     """
 
     def __init__(self, workload, seed: int):
         self.wl = workload
         self.seed = seed
         self.setup_s: list[float] = []
-        self.best: list[float] = []
+        self.step_s: list[list[float]] = []
         self.pass_s: list[float] = []
         self.attempted = 0
         self.failed = 0
         self.problems: list[str] = []
+        self.probe = None
+        self.scale = None
+
+    def clock(self) -> float:
+        """Wall time, less the time the speed probe took."""
+        return time.perf_counter() - (self.probe.spent if self.probe else 0.0)
 
     def load(self):
         """Fresh import (timed) and the workload's inputs (untimed)."""
         purge_package()
-        t0 = time.perf_counter()
+        t0 = self.clock()
         mods = workloads.load(ROOT)
-        load_s = time.perf_counter() - t0
+        load_s = self.clock() - t0
         return mods, self.wl.inputs(mods, self.seed), load_s
 
     def setup(self):
         mods, inputs, load_s = self.load()
-        t0 = time.perf_counter()
+        t0 = self.clock()
         state = self.wl.build(mods, inputs)
-        self.setup_s.append(load_s + time.perf_counter() - t0)
+        self.setup_s.append(load_s + self.clock() - t0)
         return mods, state
 
     def attempt(self, step) -> None:
@@ -104,14 +111,13 @@ class Run:
     def solve_and_check(self, mods, state) -> list[str]:
         results, total = [], 0.0
         for k, step in enumerate(self.wl.steps(mods, state)):
-            t0 = time.perf_counter()
+            t0 = self.clock()
             results.append(step())
-            dt = time.perf_counter() - t0
+            dt = self.clock() - t0
             total += dt
-            if k == len(self.best):
-                self.best.append(dt)
-            else:
-                self.best[k] = min(self.best[k], dt)
+            if k == len(self.step_s):
+                self.step_s.append([])
+            self.step_s[k].append(dt)
         self.pass_s.append(total)
         return self.wl.check(mods, state, results)
 
@@ -124,17 +130,29 @@ class Run:
         return self.solve_and_check(*self.setup())
 
     def measure(self, seconds: float) -> dict:
-        """Start passes until ``seconds`` have passed, at least one."""
+        """Make passes for about ``seconds``, at least one.
+
+        A further pass starts only if, at the mean pass time so far, it
+        would end less than half a pass after ``seconds``.  So a run lasts
+        ``seconds`` give or take half a pass, and a workload whose pass
+        takes over two thirds of ``seconds`` makes one pass.
+        """
         start = time.perf_counter()
-        while True:
-            self.attempt(self.one_pass)
-            if time.perf_counter() - start >= seconds:
-                break
-        while len(self.setup_s) < SETUP_REPEATS:
-            self.attempt(self.setup_only)
+        passes = 0
+        with speed.SpeedProbe() as self.probe:
+            while True:
+                self.attempt(self.one_pass)
+                passes += 1
+                elapsed = time.perf_counter() - start
+                if elapsed + 0.5 * elapsed / passes > seconds:
+                    break
+            while len(self.setup_s) < SETUP_REPEATS:
+                self.attempt(self.setup_only)
+        self.scale = self.probe.scale()
+        solve = sum(statistics.median(ts) for ts in self.step_s)
         return {
-            "solve_s": (sum(self.best) if self.pass_s else 0.0, "s"),
-            "setup_s": (statistics.median(self.setup_s), "s"),
+            "solve_s": (solve * self.scale if self.pass_s else 0.0, "s"),
+            "setup_s": (statistics.median(self.setup_s) * self.scale, "s"),
             "peak_rss_mb": (peak_rss_mb(), "MB"),
         }
 
@@ -174,6 +192,10 @@ def emit(workload: str, seed: int, run: Run, metrics: dict) -> int:
     print(f"workload {workload}  seed {seed}  attempted {run.attempted}  "
           f"failed {run.failed}  error_rate {run.failed / run.attempted:.3f}  "
           f"passes {len(run.pass_s)}  set-ups {len(run.setup_s)}")
+    if run.scale is not None and run.pass_s:
+        print(f"  speed scale {run.scale:.4f} from {len(run.probe.samples)} "
+              f"probes; unscaled solve {sum(run.pass_s) / len(run.pass_s):.3f} s "
+              f"per pass")
     for name, (value, unit) in metrics.items():
         print(f"  {name} = {value:.6g} {unit}")
     for problem in run.problems:
@@ -323,6 +345,7 @@ if __name__ == "__main__":
     sys.path.insert(0, HERE)
     import layers
     import spans
+    import speed
     import workloads
 
     sys.exit(main())
