@@ -70,12 +70,13 @@ def _ratio(a, b):
 
 
 def layer_metrics(tracer, counters: dict, untraced_s: float,
-                  traced_s: float) -> dict:
+                  traced_s: float, scale: float = 1.0) -> dict:
     """Every per-layer metric as name -> (value, unit).
 
     ``counters`` holds the counts computed from outside the package
     (pair classification, model sizes); absent ones read 0 on workloads
-    that build no polynomial model.
+    that build no polynomial model.  Span times are multiplied by
+    ``scale``; the two pass times come scaled.
     """
     t = tracer
     scanned = t.count(ESCALIER, "scanned", parent=BETTI)
@@ -140,6 +141,9 @@ def layer_metrics(tracer, counters: dict, untraced_s: float,
     self_times = t.self_times()
     for module in MODULES:
         out[f"{module}.self_s"] = (self_times.get(module, 0.0), "s")
+    for name, (value, unit) in out.items():
+        if unit == "s":
+            out[name] = (value * scale, unit)
     out["trace.untraced_solve_s"] = (untraced_s, "s")
     out["trace.overhead_s"] = (traced_s - untraced_s, "s")
     out["trace.spans"] = (len(t.spans), "count")

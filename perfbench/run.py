@@ -58,8 +58,8 @@ class Run:
 
     A pass is ``SETUPS_PER_PASS`` set-ups followed by the workload's steps
     on the last one, each step timed on its own.  ``solve_s`` adds up, over
-    the steps, the median time each step took in the run's passes.  Untraced
-    runs scale their times to the reference speed of ``speed.SpeedProbe``.
+    the steps, the median time each step took in the run's passes.  Reported
+    times are scaled to the reference speed of ``speed.SpeedProbe``.
     """
 
     def __init__(self, workload, seed: int):
@@ -157,10 +157,13 @@ class Run:
         }
 
     def traced(self) -> dict:
-        """One untraced and one traced pass; per-layer metrics of the latter."""
-        self.attempt(self.one_pass)
-        untraced = self.pass_s[-1] if self.pass_s else 0.0
-        tracer = spans.Tracer(layers.HOOKS)
+        """One untraced and one traced pass; per-layer metrics of the latter.
+
+        Each pass is scaled to the reference speed by the probe samples
+        taken while it ran, so that the tracing overhead compares the two
+        passes at one speed.
+        """
+        tracer = spans.Tracer(layers.HOOKS, clock=self.clock)
         box = {}
 
         def traced_pass():
@@ -176,11 +179,16 @@ class Run:
             box["counters"], gate = self.wl.counters(mods, state)
             return problems + gate
 
-        passes = len(self.pass_s)
-        self.attempt(traced_pass)
-        traced = self.pass_s[-1] if len(self.pass_s) > passes else 0.0
+        with speed.SpeedProbe() as self.probe:
+            self.attempt(self.one_pass)
+            untraced = self.pass_s[-1] * self.probe.scale() if self.pass_s else 0.0
+            first = len(self.probe.samples)
+            passes = len(self.pass_s)
+            self.attempt(traced_pass)
+            scale = self.probe.scale(first)
+        traced = self.pass_s[-1] * scale if len(self.pass_s) > passes else 0.0
         return layers.layer_metrics(tracer, box.get("counters", {}),
-                                    untraced, traced)
+                                    untraced, traced, scale)
 
 
 def peak_rss_mb() -> float:

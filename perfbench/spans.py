@@ -42,9 +42,10 @@ NAME, START, END, PARENT, DATA = range(5)
 class Tracer:
     """In-memory span recorder; one per traced run."""
 
-    def __init__(self, hooks=None):
+    def __init__(self, hooks=None, clock=time.perf_counter):
         # hooks: span name -> f(args, kwargs, result) -> dict of counts
         self.hooks = dict(hooks or {})
+        self.clock = clock
         self.spans: list[list] = []
         self._open: list[int] = []
         self._undo: list[tuple[object, str, object]] = []
@@ -54,12 +55,12 @@ class Tracer:
     def _begin(self, name: str) -> int:
         idx = len(self.spans)
         parent = self._open[-1] if self._open else -1
-        self.spans.append([name, time.perf_counter(), 0.0, parent, None])
+        self.spans.append([name, self.clock(), 0.0, parent, None])
         self._open.append(idx)
         return idx
 
     def _end(self, idx: int) -> None:
-        self.spans[idx][END] = time.perf_counter()
+        self.spans[idx][END] = self.clock()
         self._open.pop()
 
     @contextmanager

@@ -60,8 +60,10 @@ class SpeedProbe:
         signal.setitimer(signal.ITIMER_REAL, 0, 0)
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
-    def scale(self) -> float:
-        """Factor from measured seconds to seconds at the reference speed."""
-        if not self.samples:
+    def scale(self, first: int = 0) -> float:
+        """Factor from measured seconds to seconds at the reference speed,
+        from the samples after the first ``first``."""
+        samples = self.samples[first:]
+        if not samples:
             raise RuntimeError("the run was too short for a speed sample")
-        return REFERENCE_S / statistics.median(self.samples)
+        return REFERENCE_S / statistics.median(samples)
