@@ -53,8 +53,8 @@ from .polyring import (
     buchberger,
     compare,
     graded_rank_oracle,
+    groebner_witness,
     is_groebner,
-    normal_form,
 )
 from .poset import (
     BlowupPoset,

@@ -72,7 +72,7 @@ def parse_arrangement(path: str, warnings: list[str]) -> ToricArrangement:
             layer = Layer.make(n, chars, phases)
         except ValueError as exc:
             raise InputError(f"subtorus {label!r}: {exc}") from None
-        reduced = [p for p in phases]
+        reduced = [p % 1 for p in phases]
         if any(p != q for p, q in zip(reduced, phases)):
             warnings.append(f"phases of {label!r} reduced modulo 1")
         layers.append(layer)
@@ -317,7 +317,7 @@ def _dispatch(args, warnings) -> dict:
     findings = pres.leading_monomial_findings()
     ok = (groebner_ok and order_ok and restriction.ok
           and all(r.ok for r in rec.values()))
-    return {
+    report = {
         "command": "verify",
         "groebner_verified": groebner_ok,
         "recursions": {
@@ -334,6 +334,9 @@ def _dispatch(args, warnings) -> dict:
         "leading_monomial_findings": findings,
         "_ok": ok,
     }
+    if not groebner_ok:
+        report["groebner_witness"] = str(pres.alpha_witness())
+    return report
 
 
 def _tabulate(command: str, report: dict) -> str:

@@ -9,11 +9,33 @@ The Groebner machinery is the strong (Z-coefficient) variant: reduction
 divides coefficients with remainder, and completion closes under both
 S-polynomials and GCD-polynomials.  All ideal generators the package
 feeds in are homogeneous, which makes degree-truncated runs sound.
+
+``GroebnerBasis.reduce`` keeps the terms still to reduce on a heap keyed
+by ``(-degree, reversed exponents)``, which pops them in the monomial
+order, largest first.  Reducers come from a divisibility index: one
+bitset per variable marks the elements whose leading monomial uses it,
+so the elements whose lead support lies inside a term's support are
+found by masking, memoised per support inside the basis.  They are tried
+in the order they were added, so the reducer chosen, and every normal
+form and certificate, is the one a linear scan of the leads would give.
+
+``PairSweep`` is the one pair generator behind ``buchberger`` and
+``is_groebner``.  It skips pairs whose lcm degree (from the cached lead
+degrees) is above the cap and S-pairs of two monomials, and it applies
+Buchberger's product criterion: coprime leads whose leading coefficients
+are both units need no S-pair and give no GCD-pair.  Over Z the criterion
+is sound only with unit coefficients (Lichtblau 2012).  The sweep counts
+what it skips and reduces; ``groebner_witness`` returns the first pair
+whose normal form is nonzero, which ``is_groebner`` reduces to a bool.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
+from operator import add, le, mul, neg, sub
+from typing import NamedTuple
 
 from .intlinalg import snf
 
@@ -40,6 +62,7 @@ class VariableTable:
         if len(self.position) != self.n:
             raise ValueError("duplicate variable keys")
         self._one = (0,) * self.n
+        self._bits = tuple(1 << i for i in range(self.n))
         self._mono_cache: dict = {}
 
     # -- monomials -----------------------------------------------------
@@ -52,31 +75,26 @@ class VariableTable:
         return self._one[:i] + (exp,) + self._one[i + 1:]
 
     def mono_degree(self, m: Monomial) -> int:
-        w = self.weights
-        return sum(e * w[i] for i, e in enumerate(m) if e)
+        return sum(map(mul, m, self.weights))
 
     def mono_mul(self, a: Monomial, b: Monomial) -> Monomial:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def mono_divides(self, a: Monomial, b: Monomial) -> bool:
-        return all(x <= y for x, y in zip(a, b))
+        return all(map(le, a, b))
 
     def mono_div(self, a: Monomial, b: Monomial) -> Monomial:
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(sub, a, b))
 
     def mono_lcm(self, a: Monomial, b: Monomial) -> Monomial:
-        return tuple(x if x > y else y for x, y in zip(a, b))
+        return tuple(map(max, a, b))
 
     def mono_mask(self, m: Monomial) -> int:
-        out = 0
-        for i, e in enumerate(m):
-            if e:
-                out |= 1 << i
-        return out
+        return sum(compress(self._bits, m))
 
     def mono_key(self, m: Monomial):
         """Sort key: ascending under the monomial order."""
-        return (self.mono_degree(m), tuple(-e for e in reversed(m)))
+        return (self.mono_degree(m), tuple(map(neg, reversed(m))))
 
     def mono_name(self, m: Monomial) -> str:
         parts = []
@@ -204,7 +222,7 @@ class Polynomial:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 v = out.get(m, 0) + c1 * c2
                 if v:
                     out[m] = v
@@ -215,7 +233,7 @@ class Polynomial:
     def mul_term(self, coeff: int, mono: Monomial) -> "Polynomial":
         if coeff == 0:
             return Polynomial({})
-        return Polynomial({tuple(x + y for x, y in zip(m, mono)): coeff * c
+        return Polynomial({tuple(map(add, m, mono)): coeff * c
                            for m, c in self.terms.items()})
 
     def __repr__(self):
@@ -233,7 +251,8 @@ class GroebnerBasis:
     Reduction is coefficient-aware: a generator applies to a term when its
     leading monomial divides the term's and its (positive) leading
     coefficient is at most the term's in absolute value, in which case the
-    term's coefficient is replaced by its remainder.
+    term's coefficient is replaced by its remainder.  When several apply,
+    the one added first is used.
     """
 
     def __init__(self, table: VariableTable, polys):
@@ -243,6 +262,18 @@ class GroebnerBasis:
         self._lc: list[int] = []
         self._mask: list[int] = []
         self._deg: list[int] = []
+        # (position, exponent) over the lead's support, and the part of it
+        # with exponent above one: a lead whose support lies in a term's
+        # support divides the term unless one of these exceeds the term's
+        self._support: list[tuple[tuple[int, int], ...]] = []
+        self._powers: list[tuple[tuple[int, int], ...]] = []
+        # (monomial, coefficient, degree, support mask) of each non-lead term
+        self._tails: list[list[tuple[Monomial, int, int, int]]] = []
+        # divisibility index: bit i of _var_bits[p] is set when the lead of
+        # element i uses variable p; _candidates memoises, per term support
+        # mask, the elements whose lead support lies inside it, ascending
+        self._var_bits = [0] * table.n
+        self._candidates: dict[int, list[int]] = {}
         seen = set()
         for f in polys:
             if not f:
@@ -255,12 +286,25 @@ class GroebnerBasis:
             self._append(f)
 
     def _append(self, f: Polynomial):
-        lm, lc = self.table.leading(f)
+        table = self.table
+        lm, lc = table.leading(f)
+        k = len(self.elements)
+        mask = table.mono_mask(lm)
+        support = tuple((p, e) for p, e in enumerate(lm) if e)
         self.elements.append(f)
         self._lm.append(lm)
         self._lc.append(lc)
-        self._mask.append(self.table.mono_mask(lm))
-        self._deg.append(self.table.mono_degree(lm))
+        self._mask.append(mask)
+        self._deg.append(table.mono_degree(lm))
+        self._support.append(support)
+        self._powers.append(tuple((p, e) for p, e in support if e > 1))
+        self._tails.append([(m, c, table.mono_degree(m), table.mono_mask(m))
+                            for m, c in f.terms.items() if m != lm])
+        for p, _ in support:
+            self._var_bits[p] |= 1 << k
+        for term_mask, found in self._candidates.items():
+            if not mask & ~term_mask:
+                found.append(k)
 
     def __len__(self):
         return len(self.elements)
@@ -269,57 +313,85 @@ class GroebnerBasis:
     def torsion_suspect(self) -> bool:
         return any(abs(c) != 1 for c in self._lc)
 
-    def _find_reducer(self, mono: Monomial, coeff: int, mask: int, deg: int):
-        lms, lcs, masks, degs = self._lm, self._lc, self._mask, self._deg
-        ac = abs(coeff)
-        for i in range(len(lms)):
-            if degs[i] > deg or (masks[i] & ~mask) or lcs[i] > ac:
-                continue
-            lm = lms[i]
-            ok = True
-            for a, b in zip(lm, mono):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                return i
-        return None
+    def _candidates_for(self, term_mask: int) -> list[int]:
+        """Elements whose lead support lies in ``term_mask``, ascending."""
+        bits = (1 << len(self.elements)) - 1
+        for p, users in enumerate(self._var_bits):
+            if users and not term_mask >> p & 1:
+                bits &= ~users
+        found = []
+        while bits:
+            low = bits & -bits
+            found.append(low.bit_length() - 1)
+            bits ^= low
+        self._candidates[term_mask] = found
+        return found
 
     def reduce(self, f: Polynomial, certificate: bool = False):
-        """Normal form: no remaining term is reducible by the basis."""
+        """Normal form: no remaining term is reducible by the basis.
+
+        The terms still to reduce sit in ``work``; the reduction front is a
+        heap of ``_front_entry`` tuples, so the largest term comes off first.
+        """
         table = self.table
-        key = table.mono_key
+        lcs, powers, tails, memo = self._lc, self._powers, self._tails, self._candidates
         work = dict(f.terms)
+        front = [_front_entry(table.mono_degree(m), m, table.mono_mask(m))
+                 for m in work]
+        heapify(front)
         out: dict = {}
         cert: dict[int, Polynomial] = {}
-        while work:
-            m = max(work, key=key)
-            c = work.pop(m)
-            mask = table.mono_mask(m)
-            deg = table.mono_degree(m)
+        while front:
+            neg_deg, _, m, mask = heappop(front)
+            c = work.pop(m, None)
+            if c is None:
+                continue
+            candidates = memo.get(mask)
+            if candidates is None:
+                candidates = self._candidates_for(mask)
             while True:
-                i = self._find_reducer(m, c, mask, deg)
-                if i is None:
+                ac = abs(c)
+                for i in candidates:
+                    if lcs[i] <= ac:
+                        for p, e in powers[i]:
+                            if m[p] < e:
+                                break
+                        else:
+                            break
+                else:
                     out[m] = c
                     break
-                q, r = divmod(c, self._lc[i])
-                shift = table.mono_div(m, self._lm[i])
-                for mm, cc in self.elements[i].terms.items():
-                    if mm == self._lm[i]:
-                        continue
-                    key_m = table.mono_mul(mm, shift)
-                    v = work.get(key_m, 0) - q * cc
-                    if v:
-                        work[key_m] = v
-                    else:
-                        work.pop(key_m, None)
+                q, c = divmod(c, lcs[i])
+                if tails[i]:
+                    self._subtract_tail(i, q, m, -neg_deg, mask, work, front)
                 if certificate:
+                    shift = table.mono_div(m, self._lm[i])
                     cert[i] = cert.get(i, Polynomial({})) + Polynomial({shift: q})
-                c = r
                 if c == 0:
                     break
         nf = Polynomial(out)
         return (nf, cert) if certificate else nf
+
+    def _subtract_tail(self, i: int, q: int, m: Monomial, deg: int, mask: int,
+                       work: dict, front: list):
+        """``work -= q * (m / lead_i) * tail_i``; new terms join the front."""
+        shift = tuple(map(sub, m, self._lm[i]))
+        shift_deg = deg - self._deg[i]
+        shift_mask = mask & ~self._mask[i]
+        for p, e in self._support[i]:
+            if m[p] > e:
+                shift_mask |= 1 << p
+        for mm, cc, dd, mmask in self._tails[i]:
+            key = tuple(map(add, mm, shift))
+            qc = q * cc
+            old = work.get(key)
+            if old is None:
+                work[key] = -qc
+                heappush(front, _front_entry(dd + shift_deg, key, mmask | shift_mask))
+            elif old == qc:
+                del work[key]
+            else:
+                work[key] = old - qc
 
     def minimalize(self) -> "GroebnerBasis":
         """Drop strongly redundant leads, tail-reduce, canonical sort."""
@@ -375,11 +447,13 @@ class GroebnerBasis:
                 for d in range(up_to + 1)]
 
 
-def normal_form(table: VariableTable, f: Polynomial, basis) -> Polynomial:
-    """Normal form of ``f`` against a list of reducers (or a basis object)."""
-    if not isinstance(basis, GroebnerBasis):
-        basis = GroebnerBasis(table, basis)
-    return basis.reduce(f)
+def _front_entry(deg: int, m: Monomial, mask: int) -> tuple:
+    """Heap entry of a term on the reduction front.
+
+    ``(-deg, m[::-1])`` ascends as ``mono_key`` descends, so the heap pops
+    the largest monomial first; ``m`` and its support mask ride along.
+    """
+    return (-deg, m[::-1], m, mask)
 
 
 def s_polynomial(table: VariableTable, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -414,8 +488,94 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _pair_degree(table, lm1, lm2) -> int:
-    return table.mono_degree(table.mono_lcm(lm1, lm2))
+class GroebnerWitness(NamedTuple):
+    """A pair whose normal form is nonzero: kind "S" or "G", the two
+    generators and the normal form, each as ``poly_name`` text."""
+
+    kind: str
+    first: str
+    second: str
+    normal_form: str
+
+    def __str__(self):
+        return (f"{self.kind}-pair of {self.first} and {self.second} "
+                f"reduces to {self.normal_form}")
+
+
+class PairSweep:
+    """The S- and GCD-pairs of a basis below a degree cap.
+
+    ``pairs_with(j)`` lists the pairs (i, j), i < j, that need a reduction.
+    It passes over a pair whose lcm degree is above the cap, and the
+    S-pair of two monomials, which is zero.  It also applies Buchberger's
+    product criterion: when the two leads are coprime and both leading
+    coefficients are units, the S-polynomial has a standard representation
+    over the pair itself, and no GCD-pair arises.  Over Z the criterion
+    needs the unit coefficients (Lichtblau 2012).  ``counts`` holds how
+    many pairs were met, how many of them fell in each case, and how many
+    reductions ``reduce`` did.
+    """
+
+    def __init__(self, basis: GroebnerBasis, degree_cap: int):
+        self.basis = basis
+        self.degree_cap = degree_cap
+        self.counts = dict.fromkeys(
+            ("pairs", "over_cap", "monomial", "criterion", "reduced"), 0)
+
+    def pairs_with(self, j: int) -> list[tuple[int, int, int, str]]:
+        """``(lcm degree, i, j, kind)`` for the pairs of j that need work."""
+        b = self.basis
+        weights, cap = b.table.weights, self.degree_cap
+        lcs, masks, degs, tails = b._lc, b._mask, b._deg, b._tails
+        lm_j, c_j, mask_j, deg_j = b._lm[j], lcs[j], masks[j], degs[j]
+        out = []
+        over = monomial = criterion = 0
+        for i in range(j):
+            deg = degs[i] + deg_j
+            common = masks[i] & mask_j
+            if common:
+                for p, e in b._support[i]:
+                    f = lm_j[p]
+                    if f:
+                        deg -= weights[p] * (e if e < f else f)
+            if deg > cap:
+                over += 1
+                continue
+            c_i = lcs[i]
+            if not tails[j] and not tails[i]:
+                monomial += 1
+            elif not common and c_i == 1 and c_j == 1:
+                criterion += 1
+                continue
+            else:
+                out.append((deg, i, j, "S"))
+            if c_i % c_j and c_j % c_i:
+                out.append((deg, i, j, "G"))
+        counts = self.counts
+        counts["pairs"] += j
+        counts["over_cap"] += over
+        counts["monomial"] += monomial
+        counts["criterion"] += criterion
+        return out
+
+    def reduce(self, i: int, j: int, kind: str) -> Polynomial:
+        """Normal form of the S- or GCD-polynomial of elements i and j."""
+        b = self.basis
+        make = s_polynomial if kind == "S" else gcd_polynomial
+        self.counts["reduced"] += 1
+        return b.reduce(make(b.table, b.elements[i], b.elements[j]))
+
+    def witness(self) -> GroebnerWitness | None:
+        """The first pair whose normal form is nonzero, or None."""
+        b = self.basis
+        for j in range(len(b)):
+            for _, i, _, kind in self.pairs_with(j):
+                nf = self.reduce(i, j, kind)
+                if nf:
+                    name = b.table.poly_name
+                    return GroebnerWitness(kind, name(b.elements[i]),
+                                           name(b.elements[j]), name(nf))
+        return None
 
 
 def buchberger(table: VariableTable, gens, degree_cap: int) -> GroebnerBasis:
@@ -429,61 +589,31 @@ def buchberger(table: VariableTable, gens, degree_cap: int) -> GroebnerBasis:
         if not table.is_homogeneous(g):
             raise ValueError("degree-capped completion requires homogeneous input")
     basis = GroebnerBasis(table, gens)
-    pending: list[tuple[int, int, int, str]] = []
-
-    def add_pairs(j):
-        for i in range(j):
-            deg = _pair_degree(table, basis._lm[i], basis._lm[j])
-            if deg > degree_cap:
-                continue
-            if len(basis.elements[i].terms) > 1 or len(basis.elements[j].terms) > 1:
-                pending.append((deg, i, j, "s"))
-            ci, cj = basis._lc[i], basis._lc[j]
-            if ci % cj and cj % ci:
-                pending.append((deg, i, j, "g"))
-
-    for j in range(len(basis)):
-        add_pairs(j)
+    sweep = PairSweep(basis, degree_cap)
+    pending = [pair for j in range(len(basis)) for pair in sweep.pairs_with(j)]
     pending.sort()
     pos = 0
     while pos < len(pending):
-        deg, i, j, kind = pending[pos]
+        _, i, j, kind = pending[pos]
         pos += 1
-        if kind == "s":
-            h = s_polynomial(table, basis.elements[i], basis.elements[j])
-        else:
-            h = gcd_polynomial(table, basis.elements[i], basis.elements[j])
-        h = basis.reduce(h)
+        h = sweep.reduce(i, j, kind)
         if h:
             basis._append(_normalize_sign(table, h))
-            add_pairs(len(basis) - 1)
-            tail = pending[pos:]
+            tail = pending[pos:] + sweep.pairs_with(len(basis) - 1)
             tail.sort()
             pending = pending[:pos] + tail
     return basis.minimalize()
 
 
+def groebner_witness(table: VariableTable, polys,
+                     degree_cap: int) -> GroebnerWitness | None:
+    """The first S- or GCD-pair below the cap with a nonzero normal form."""
+    return PairSweep(GroebnerBasis(table, polys), degree_cap).witness()
+
+
 def is_groebner(table: VariableTable, polys, degree_cap: int) -> bool:
     """Do all S- and GCD-pairs reduce to zero below the degree cap?"""
-    basis = GroebnerBasis(table, polys)
-    n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            deg = _pair_degree(table, basis._lm[i], basis._lm[j])
-            if deg > degree_cap:
-                continue
-            both_monomial = (len(basis.elements[i].terms) == 1
-                             and len(basis.elements[j].terms) == 1)
-            if not both_monomial:
-                if basis.reduce(s_polynomial(table, basis.elements[i],
-                                             basis.elements[j])):
-                    return False
-            ci, cj = basis._lc[i], basis._lc[j]
-            if ci % cj and cj % ci:
-                if basis.reduce(gcd_polynomial(table, basis.elements[i],
-                                               basis.elements[j])):
-                    return False
-    return True
+    return groebner_witness(table, polys, degree_cap) is None
 
 
 # -- SNF rank oracle --------------------------------------------------------

@@ -23,10 +23,12 @@ from .fan import Fan, is_smooth, restrict_fan
 from .intlinalg import Sublattice, complement_basis, hnf
 from .polyring import (
     GroebnerBasis,
+    GroebnerWitness,
     Polynomial,
     VariableTable,
     buchberger,
     graded_rank_oracle,
+    groebner_witness,
     is_groebner,
 )
 from .poset import (
@@ -380,6 +382,15 @@ class ModelPresentation:
                                                self.degree_cap)
         return self._alpha_verified
 
+    def alpha_witness(self) -> GroebnerWitness | None:
+        """The first alpha pair with a nonzero normal form, or None.
+
+        Runs a second sweep, and only when ``verify_alpha`` failed.
+        """
+        if self.verify_alpha():
+            return None
+        return groebner_witness(self.table, self.alpha(), self.degree_cap)
+
     def alpha_reducer(self) -> GroebnerBasis:
         return GroebnerBasis(self.table, self.alpha())
 
@@ -406,7 +417,8 @@ class ModelPresentation:
         cap = self.degree_cap
         verified = self.verify_alpha() if verify else None
         if verify and not verified:
-            raise AssertionError("alpha failed the Groebner pair test")
+            raise AssertionError("alpha failed the Groebner pair test: "
+                                 f"{self.alpha_witness()}")
         reducer = self.alpha_reducer()
         if reducer.torsion_suspect:
             raise AssertionError(
@@ -533,7 +545,8 @@ class ModelPresentation:
         max_deg = max(deleted.table.degree(g) for g in gens)
         cap = max(contracted.degree_cap, max_deg)
         if not is_groebner(contracted.table, contracted.alpha(), cap):
-            raise AssertionError("contracted alpha failed verification")
+            witness = groebner_witness(contracted.table, contracted.alpha(), cap)
+            raise AssertionError(f"contracted alpha failed verification: {witness}")
         reducer = contracted.alpha_reducer()
         failures = []
         for g in gens:

@@ -204,3 +204,41 @@ def test_model_betti_running(capsys, data_dir):
     assert report["betti"] == [1, 15, 15, 1]
     assert report["torsion"] == []
     assert report["relation_counts"] == {"i": 278, "ii": 24, "iii": 168}
+
+
+def test_phase_outside_unit_interval_warns(tmp_path, data_dir):
+    path = tmp_path / "arr.json"
+    for phase, warns in (("3/2", True), ("1/2", False)):
+        path.write_text(json.dumps({"ambient_rank": 1, "subtori": [
+            {"label": "P", "chars": [[1]], "phase": [phase]}]}))
+        warnings = []
+        cli.parse_arrangement(str(path), warnings)
+        assert warnings == (["phases of 'P' reduced modulo 1"] if warns else [])
+    warnings = []
+    cli.parse_inputs(fixture_path(data_dir, "a22.arr.json"),
+                     fixture_path(data_dir, "a22.fan.json"), warnings)
+    assert not warnings
+
+
+def test_failed_alpha_names_the_witness(tmp_path, capsys, data_dir):
+    # the character of H2 changes sign on cones of the P1 x P1 fan, so the
+    # fan is not equal-sign for the arrangement and alpha is no Groebner basis
+    fan = tmp_path / "p1p1.fan.json"
+    fan.write_text(json.dumps({
+        "ambient_rank": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+        "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}))
+    witness = "S-pair of t{H2}*c1 and t{H2}-2*c4-c3 reduces to 2*c2*c1"
+    args = ["--arrangement", fixture_path(data_dir, "a22.arr.json"),
+            "--fan", str(fan), "--deterministic"]
+    code, out, _ = run_cli(capsys, ["verify", *args, "--format", "table"])
+    assert code == 1
+    assert "groebner_verified: False" in out.splitlines()
+    assert f"groebner_witness: {witness}" in out.splitlines()
+    code, out, _ = run_cli(capsys, ["verify", *args])
+    report = json.loads(out)
+    assert code == 1
+    assert report["groebner_verified"] is False
+    assert report["groebner_witness"] == witness
+    code, _, err = run_cli(capsys, ["model-betti", *args])
+    assert code == 1
+    assert f"alpha failed the Groebner pair test: {witness}" in err

@@ -2,17 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wondertoric.fixtures import a22_fan, a_n_c, running_arrangement, running_fan
 from wondertoric.polyring import (
     GroebnerBasis,
+    PairSweep,
     Polynomial,
     VariableTable,
+    _front_entry,
     buchberger,
     compare,
     gcd_polynomial,
     graded_rank_oracle,
+    groebner_witness,
     is_groebner,
     s_polynomial,
 )
+from wondertoric.presentation import presentation_from_arrangement
 
 
 def table3():
@@ -164,3 +169,173 @@ def test_homogeneity_guard():
     f = t.poly({mono(t, x=1): 1, mono(t,): 1})
     with pytest.raises(ValueError):
         buchberger(t, [f], degree_cap=2)
+
+
+# -- reference oracles: the linear-scan reduction and the unpruned sweep ----
+
+
+def reference_reducer(basis):
+    """Reduction over ``basis.elements`` by a linear scan of the leads,
+    largest term first by ``max`` over the terms left; the first lead that
+    applies is used."""
+    table = basis.table
+    leads = [table.leading(g) for g in basis.elements]
+    masks = [table.mono_mask(lm) for lm, _ in leads]
+
+    def reduce(f, certificate=False):
+        keys = {m: table.mono_key(m) for m in f.terms}
+        work = dict(f.terms)
+        out = {}
+        cert = {}
+        while work:
+            m = max(work, key=keys.__getitem__)
+            c = work.pop(m)
+            mask = table.mono_mask(m)
+            while True:
+                i = next((k for k, (lm, lc) in enumerate(leads)
+                          if not masks[k] & ~mask and lc <= abs(c)
+                          and table.mono_divides(lm, m)), None)
+                if i is None:
+                    out[m] = c
+                    break
+                lm, lc = leads[i]
+                q, r = divmod(c, lc)
+                shift = table.mono_div(m, lm)
+                for mm, cc in basis.elements[i].terms.items():
+                    if mm == lm:
+                        continue
+                    key = table.mono_mul(mm, shift)
+                    v = work.get(key, 0) - q * cc
+                    if v:
+                        work[key] = v
+                        if key not in keys:
+                            keys[key] = table.mono_key(key)
+                    else:
+                        work.pop(key, None)
+                if certificate:
+                    cert[i] = cert.get(i, Polynomial({})) + Polynomial({shift: q})
+                c = r
+                if c == 0:
+                    break
+        nf = Polynomial(out)
+        return (nf, cert) if certificate else nf
+
+    return reduce, leads
+
+
+def reference_is_groebner(table, polys, degree_cap):
+    """Every S- and GCD-pair under the cap, with no criterion."""
+    basis = GroebnerBasis(table, polys)
+    reduce, leads = reference_reducer(basis)
+    els = basis.elements
+    for i in range(len(els)):
+        for j in range(i + 1, len(els)):
+            (mi, ci), (mj, cj) = leads[i], leads[j]
+            if table.mono_degree(table.mono_lcm(mi, mj)) > degree_cap:
+                continue
+            if len(els[i].terms) > 1 or len(els[j].terms) > 1:
+                if reduce(s_polynomial(table, els[i], els[j])):
+                    return False
+            if ci % cj and cj % ci:
+                if reduce(gcd_polynomial(table, els[i], els[j])):
+                    return False
+    return True
+
+
+def table4():
+    # weighted: a > b > c > d with weights 2, 1, 3, 1
+    return VariableTable("abcd", (2, 1, 3, 1), "abcd", ("c",) * 4)
+
+
+monomials4 = st.tuples(*[st.integers(0, 2)] * 4)
+polys4 = st.dictionaries(monomials4, st.integers(-4, 4).filter(bool),
+                         min_size=1, max_size=5).map(Polynomial)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(polys4, min_size=1, max_size=5), polys4)
+def test_reduce_matches_linear_scan(gens, f):
+    t = table4()
+    basis = GroebnerBasis(t, gens)
+    nf, cert = basis.reduce(f, certificate=True)
+    ref_nf, ref_cert = reference_reducer(basis)[0](f, certificate=True)
+    assert nf == ref_nf
+    assert cert == ref_cert
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(monomials4, min_size=2, max_size=30, unique=True))
+def test_front_order_is_the_monomial_order(monos):
+    t = table4()
+    by_front = sorted(monos, key=lambda m: _front_entry(t.mono_degree(m), m,
+                                                        t.mono_mask(m)))
+    assert by_front == sorted(monos, key=t.mono_key, reverse=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(polys4, min_size=1, max_size=4))
+def test_pruned_sweep_matches_reference(gens):
+    t = table4()
+    # a cap above every lcm degree: the whole sweep, so the criterion holds
+    assert is_groebner(t, gens, 40) == reference_is_groebner(t, gens, 40)
+
+
+def test_product_criterion_needs_unit_coefficients():
+    t = table3()
+    z = mono(t, z=1)
+    units = [t.poly({mono(t, x=1): 1, z: 1}), t.poly({mono(t, y=1): 1, z: 1})]
+    assert is_groebner(t, units, 2) and reference_is_groebner(t, units, 2)
+    twos = [t.poly({mono(t, x=1): 2, z: 1}), t.poly({mono(t, y=1): 3, z: 1})]
+    assert not reference_is_groebner(t, twos, 2)
+    assert groebner_witness(t, twos, 2) is not None
+
+
+def test_reducer_appended_after_reduce_is_found():
+    t = table3()
+    basis = GroebnerBasis(t, [t.term(1, mono(t, x=1, y=1))])
+    f = t.poly({mono(t, z=2): 1, mono(t, x=1, z=1): 1})
+    assert basis.reduce(f) == f
+    basis._append(t.term(1, mono(t, z=1)))
+    assert not basis.reduce(f)
+
+
+def test_pruned_sweep_matches_reference_on_a22():
+    checked = {}
+    for selector, failing in (("min", 25), ("minwc", 40), ("max", 40)):
+        pres = presentation_from_arrangement(a_n_c(2, 2), a22_fan(),
+                                             selector=selector)
+        table, alpha, cap = pres.table, pres.alpha(), pres.degree_cap
+        key = (table.keys, tuple(frozenset(f.terms.items()) for f in alpha))
+        if key not in checked:
+            # on A(2,2) the minwc closure is every layer, so max repeats it
+            variants = [alpha] + [alpha[:k] + alpha[k + 1:]
+                                  for k in range(len(alpha))]
+            got = [is_groebner(table, v, cap) for v in variants]
+            assert got == [reference_is_groebner(table, v, cap) for v in variants]
+            checked[key] = got
+        got = checked[key]
+        assert len(got) == len(alpha) + 1
+        assert got[0] and got.count(False) == failing
+
+
+def test_sweep_counts_running_min():
+    pres = presentation_from_arrangement(running_arrangement(), running_fan(),
+                                         selector="min")
+    sweep = PairSweep(GroebnerBasis(pres.table, pres.alpha()), pres.degree_cap)
+    assert sweep.witness() is None
+    assert sweep.counts == {"pairs": 148240, "over_cap": 128144,
+                            "monomial": 10835, "criterion": 7041,
+                            "reduced": 2220}
+
+
+def test_witness_names_the_failing_pair():
+    t = table3()
+    f = t.poly({mono(t, x=1): 1, mono(t, y=1): 1})
+    g = t.poly({mono(t, x=1): 1, mono(t, z=1): 1})
+    w = groebner_witness(t, [f, g], degree_cap=3)
+    assert (w.kind, w.first, w.second) == ("S", "x+y", "x+z")
+    assert w.normal_form == t.poly_name(GroebnerBasis(t, [f, g]).reduce(
+        s_polynomial(t, f, g)))
+    assert str(w) == f"S-pair of x+y and x+z reduces to {w.normal_form}"
+    gcd_pair = [t.term(2, mono(t, x=1)), t.term(3, mono(t, x=1))]
+    assert groebner_witness(t, gcd_pair, degree_cap=3).kind == "G"
