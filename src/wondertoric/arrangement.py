@@ -15,13 +15,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .intlinalg import Sublattice, is_saturated, snf
+from .intlinalg import Sublattice, hnf, is_saturated, snf
 from .poset import RankedPoset
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+def _phase_sums(matrix, values) -> list[Fraction]:
+    """``sum(c * w for c, w in zip(row, values))`` modulo 1, for each row.
+
+    The integer numerators are summed over the common denominator of
+    ``values``, so a row costs one ``Fraction`` rather than one per term.
+    """
+    den = lcm(*(w.denominator for w in values))
+    nums = [w.numerator * (den // w.denominator) for w in values]
+    return [Fraction(sum(map(mul, row, nums)) % den, den) for row in matrix]
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,13 @@ class Layer:
     lattice: Sublattice
     phase: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        # layers key every poset lookup; hash the compared fields once
+        object.__setattr__(self, "_hash", hash((self.lattice, self.phase)))
+
+    def __hash__(self):
+        return self._hash
+
     @staticmethod
     def make(ambient_rank: int, rows, phase_values) -> "Layer":
         """Canonicalize arbitrary (independent) rows and their phases."""
@@ -42,24 +58,12 @@ class Layer:
         values = [Fraction(v) for v in phase_values]
         if len(rows) != len(values):
             raise ValueError("one phase value per character row is required")
-        lat = Sublattice.from_rows(ambient_rank, rows)
-        if not is_saturated(lat):
+        if not is_saturated(Sublattice.from_rows(ambient_rank, rows)):
             raise ValueError(
                 "character lattice is not saturated; the subvariety it cuts "
                 "out is disconnected (split it into layers first)"
             )
-        # phases on the HNF basis: each HNF row is an integer combination
-        # of the input rows, with coefficients from the HNF transform.
-        from .intlinalg import hnf
-
-        h, u = hnf(rows, cols=ambient_rank)
-        phases = []
-        for i, hrow in enumerate(h):
-            if not any(hrow):
-                continue
-            val = sum((Fraction(c) * w for c, w in zip(u[i], values)), Fraction(0))
-            phases.append(_mod1(val))
-        return Layer(lat, tuple(phases))
+        return _with_phases(ambient_rank, rows, [values])[0]
 
     @staticmethod
     def whole_torus(ambient_rank: int) -> "Layer":
@@ -78,8 +82,7 @@ class Layer:
         coeffs = self.lattice.solve(character)
         if coeffs is None:
             return None
-        return _mod1(sum((Fraction(c) * w for c, w in zip(coeffs, self.phase)),
-                         Fraction(0)))
+        return _phase_sums([coeffs], self.phase)[0]
 
     def sort_key(self):
         return (self.rank, self.lattice.basis,
@@ -93,6 +96,20 @@ class Layer:
 
     def __repr__(self):
         return self.name
+
+
+def _with_phases(ambient_rank: int, rows, phase_lists) -> list[Layer]:
+    """One layer on the lattice of ``rows`` per list of phase values on them.
+
+    ``rows`` must be independent and span a saturated lattice.  The phases
+    are carried to the HNF basis, whose rows are integer combinations of
+    ``rows`` with coefficients from the HNF transform.
+    """
+    h, u = hnf(rows, cols=ambient_rank)
+    keep = [i for i, hrow in enumerate(h) if any(hrow)]
+    lat = Sublattice(ambient_rank, tuple(h[i] for i in keep))
+    coeffs = [u[i] for i in keep]
+    return [Layer(lat, tuple(_phase_sums(coeffs, values))) for values in phase_lists]
 
 
 def layer_leq(k1: Layer, k2: Layer) -> bool:
@@ -126,22 +143,20 @@ def intersect_layers(k1: Layer, k2: Layer) -> list[Layer]:
         return [Layer.whole_torus(n)]
     res = snf(rows, transforms=True)
     r = res.rank
-    uw = [sum((Fraction(c) * w for c, w in zip(urow, values)), Fraction(0))
-          for urow in res.left]
+    uw = _phase_sums(res.left, values)
     # rows of U beyond the rank span the relations among the characters;
     # the phase is a well-defined homomorphism iff it kills them.
-    for i in range(r, len(rows)):
-        if _mod1(uw[i]) != 0:
-            return []
-    sat_rows = [res.right_inv[i] for i in range(r)]
-    d = res.invariant_factors
+    if any(uw[r:]):
+        return []
+    # the first r rows of V^-1 span the saturation; on row i the phase is
+    # any solution of d_i * x = uw_i modulo 1
+    sat_rows = res.right_inv[:r]
     choices = []
-    for i in range(r):
-        base = uw[i] / d[i]
-        choices.append([_mod1(base + Fraction(t, d[i])) for t in range(d[i])])
-    out = []
-    for combo in itertools.product(*choices):
-        out.append(Layer.make(n, sat_rows, combo))
+    for w, d in zip(uw, res.invariant_factors):
+        num, den = w.numerator, w.denominator
+        choices.append([Fraction((num + t * den) % (den * d), den * d)
+                        for t in range(d)])
+    out = _with_phases(n, sat_rows, itertools.product(*choices))
     out.sort(key=Layer.sort_key)
     return out
 
@@ -174,26 +189,30 @@ def poset_of_layers(arr: ToricArrangement) -> RankedPoset:
     themselves (the whole torus is the minimum), ranked by codimension.
     """
     zero = Layer.whole_torus(arr.ambient_rank)
-    layers = {zero}
-    frontier = set()
-    for k in arr.subtori:
-        if k not in layers:
-            layers.add(k)
-            frontier.add(k)
+    layers = {zero, *arr.subtori}
+    # each unordered pair of layers other than the torus meets once: a
+    # frontier layer is intersected with the older layers and with the
+    # frontier layers before it
+    older: list[Layer] = []
+    frontier = sorted(layers - {zero}, key=Layer.sort_key)
     while frontier:
         new = set()
-        for a in sorted(layers, key=Layer.sort_key):
-            for b in sorted(frontier, key=Layer.sort_key):
-                if a is b:
-                    continue
+        for j, b in enumerate(frontier):
+            for a in itertools.chain(older, frontier[:j]):
                 for c in intersect_layers(a, b):
-                    if c not in layers and c not in new:
+                    if c not in layers:
                         new.add(c)
+        older += frontier
         layers |= new
-        frontier = new
+        frontier = sorted(new, key=Layer.sort_key)
     ordered = sorted(layers, key=Layer.sort_key)
-    pairs = [
-        (a, b) for a in ordered for b in ordered if layer_leq(a, b)
-    ]
-    ranks = {a: a.rank for a in ordered}
-    return RankedPoset(ordered, ranks, pairs)
+    # a < b needs rank a < rank b, and the order sorts by rank first
+    rank_list = [a.rank for a in ordered]
+    up = []
+    for i, a in enumerate(ordered):
+        mask = 1 << i
+        for j in range(i + 1, len(ordered)):
+            if rank_list[j] > rank_list[i] and layer_leq(a, ordered[j]):
+                mask |= 1 << j
+        up.append(mask)
+    return RankedPoset._from_masks(ordered, rank_list, up)

@@ -121,7 +121,7 @@ def fig5_poset() -> RankedPoset:
         ("Q1", "C"), ("Q2", "C"),
         ("l1", "p"), ("l2", "p"), ("C", "p"),
     ]
-    return RankedPoset.from_covers(labels, ranks, covers)
+    return RankedPoset(labels, ranks, covers)
 
 
 def boolean_poset(atoms: int) -> RankedPoset:
@@ -139,7 +139,7 @@ def three_atoms_two_tops() -> RankedPoset:
     ranks = {"0": 0, "x": 1, "y": 1, "z": 1, "t1": 2, "t2": 2, "top": 3}
     covers = [("0", "x"), ("0", "y"), ("0", "z"), ("t1", "top"), ("t2", "top")]
     covers += [(a, t) for a in ("x", "y", "z") for t in ("t1", "t2")]
-    return RankedPoset.from_covers(labels, ranks, covers)
+    return RankedPoset(labels, ranks, covers)
 
 
 def running_poset() -> RankedPoset:

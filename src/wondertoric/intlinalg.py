@@ -27,16 +27,6 @@ def mat_mul(a, b) -> list[list[int]]:
             for ra in a]
 
 
-def mat_vec(a, v) -> list[int]:
-    return [sum(r[k] * v[k] for k in range(len(v))) for r in a]
-
-
-def transpose(a) -> list[list[int]]:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def freeze(mat) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in mat)
 

@@ -457,17 +457,27 @@ def _front_entry(deg: int, m: Monomial, mask: int) -> tuple:
 
 
 def s_polynomial(table: VariableTable, f: Polynomial, g: Polynomial) -> Polynomial:
-    mf, cf = table.leading(f)
-    mg, cg = table.leading(g)
+    return _s_pair(table, f, table.leading(f), g, table.leading(g))
+
+
+def gcd_polynomial(table: VariableTable, f: Polynomial, g: Polynomial) -> Polynomial:
+    return _gcd_pair(table, f, table.leading(f), g, table.leading(g))
+
+
+def _s_pair(table: VariableTable, f: Polynomial, lead_f, g: Polynomial,
+            lead_g) -> Polynomial:
+    """S-polynomial of f and g given their ``(monomial, coefficient)`` leads."""
+    (mf, cf), (mg, cg) = lead_f, lead_g
     lcm_m = table.mono_lcm(mf, mg)
     lcm_c = abs(cf * cg) // gcd(cf, cg)
     return (f.mul_term(lcm_c // cf, table.mono_div(lcm_m, mf))
             - g.mul_term(lcm_c // cg, table.mono_div(lcm_m, mg)))
 
 
-def gcd_polynomial(table: VariableTable, f: Polynomial, g: Polynomial) -> Polynomial:
-    mf, cf = table.leading(f)
-    mg, cg = table.leading(g)
+def _gcd_pair(table: VariableTable, f: Polynomial, lead_f, g: Polynomial,
+              lead_g) -> Polynomial:
+    """GCD-polynomial of f and g given their ``(monomial, coefficient)`` leads."""
+    (mf, cf), (mg, cg) = lead_f, lead_g
     lcm_m = table.mono_lcm(mf, mg)
     d, a, b = _ext_gcd(cf, cg)
     return (f.mul_term(a, table.mono_div(lcm_m, mf))
@@ -561,9 +571,10 @@ class PairSweep:
     def reduce(self, i: int, j: int, kind: str) -> Polynomial:
         """Normal form of the S- or GCD-polynomial of elements i and j."""
         b = self.basis
-        make = s_polynomial if kind == "S" else gcd_polynomial
+        make = _s_pair if kind == "S" else _gcd_pair
         self.counts["reduced"] += 1
-        return b.reduce(make(b.table, b.elements[i], b.elements[j]))
+        return b.reduce(make(b.table, b.elements[i], (b._lm[i], b._lc[i]),
+                             b.elements[j], (b._lm[j], b._lc[j])))
 
     def witness(self) -> GroebnerWitness | None:
         """The first pair whose normal form is nonzero, or None."""

@@ -23,25 +23,41 @@ class RankedPoset:
     __slots__ = ("labels", "index", "rank_list", "_up", "_down", "n", "zero")
 
     def __init__(self, labels, ranks, leq_pairs):
-        """Build from explicit order pairs (reflexive closure is implied).
+        """Build from order pairs; the reflexive-transitive closure is implied.
 
-        ``leq_pairs`` is an iterable of (x, y) with x <= y; use
-        :meth:`from_covers` when only cover relations are known.
+        ``leq_pairs`` is an iterable of (x, y) with x <= y, so the cover
+        relations alone suffice.
         """
-        self.labels = tuple(labels)
-        self.n = len(self.labels)
-        self.index = {x: i for i, x in enumerate(self.labels)}
-        if len(self.index) != self.n:
-            raise ValueError("duplicate labels")
-        self.rank_list = tuple(int(ranks[x]) for x in self.labels)
-        up = [1 << i for i in range(self.n)]
+        labels = tuple(labels)
+        index = {x: i for i, x in enumerate(labels)}
+        up = [1 << i for i in range(len(labels))]
         for x, y in leq_pairs:
-            up[self.index[x]] |= 1 << self.index[y]
+            up[index[x]] |= 1 << index[y]
+        self._build(labels, index, [ranks[x] for x in labels], up)
+
+    @classmethod
+    def _from_masks(cls, labels, rank_list, up) -> "RankedPoset":
+        """Build from one up-mask per label: bit j of ``up[i]`` means
+        labels[i] <= labels[j].  Closure and checks are those of
+        ``__init__``."""
+        self = cls.__new__(cls)
+        labels = tuple(labels)
+        self._build(labels, {x: i for i, x in enumerate(labels)}, rank_list,
+                    [m | 1 << i for i, m in enumerate(up)])
+        return self
+
+    def _build(self, labels: tuple, index: dict, rank_list, up: list) -> None:
+        self.labels = labels
+        self.n = n = len(labels)
+        self.index = index
+        if len(index) != n:
+            raise ValueError("duplicate labels")
+        self.rank_list = tuple(int(r) for r in rank_list)
         # transitive closure (iterate to fixpoint; n is small)
         changed = True
         while changed:
             changed = False
-            for i in range(self.n):
+            for i in range(n):
                 acc = up[i]
                 m = acc
                 while m:
@@ -52,36 +68,30 @@ class RankedPoset:
                     up[i] = acc
                     changed = True
         self._up = up
-        down = [0] * self.n
-        for i in range(self.n):
+        down = [0] * n
+        for i in range(n):
             m = up[i]
             while m:
                 j = (m & -m).bit_length() - 1
                 m &= m - 1
                 down[j] |= 1 << i
         self._down = down
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and (up[i] >> j) & 1 and (up[j] >> i) & 1:
-                    raise ValueError("order is not antisymmetric")
-        minima = [i for i in range(self.n) if down[i] == 1 << i]
+        # i <= j <= i with j != i would leave bit j in both masks of i
+        for i in range(n):
+            if up[i] & down[i] != 1 << i:
+                raise ValueError("order is not antisymmetric")
+        minima = [i for i in range(n) if down[i] == 1 << i]
         if len(minima) != 1:
             raise ValueError("poset must have a unique minimum")
-        self.zero = self.labels[minima[0]]
-        z = minima[0]
-        if self.rank_list[z] != 0:
+        self.zero = labels[minima[0]]
+        if self.rank_list[minima[0]] != 0:
             raise ValueError("minimum must have rank 0")
-        for i in range(self.n):
-            m = self._up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                if self.rank_list[j] < self.rank_list[i]:
-                    raise ValueError("rank function is not monotone")
-
-    @classmethod
-    def from_covers(cls, labels, ranks, covers):
-        return cls(labels, ranks, covers)
+        below = {}  # rank -> mask of the elements of smaller rank
+        for r in sorted(set(self.rank_list)):
+            below[r] = sum(1 << i for i in range(n) if self.rank_list[i] < r)
+        for i in range(n):
+            if up[i] & below[self.rank_list[i]]:
+                raise ValueError("rank function is not monotone")
 
     # -- basic queries -------------------------------------------------
 
@@ -92,7 +102,8 @@ class RankedPoset:
         return (self._up[self.index[x]] >> self.index[y]) & 1 == 1
 
     def lt(self, x, y) -> bool:
-        return x != y and self.leq(x, y)
+        i, j = self.index[x], self.index[y]
+        return i != j and (self._up[i] >> j) & 1 == 1
 
     def _members(self, mask) -> list:
         out = []
@@ -541,32 +552,54 @@ def blowup_at(p: RankedPoset, center) -> tuple[RankedPoset, dict]:
     """
     if center == p.zero or center not in p.index:
         raise ValueError("center must be an element above the minimum")
-    keep = [x for x in p.labels if not p.leq(center, x)]
-    new = []
-    for x in keep:
-        for y in p.joins(center, x):
-            new.append((_BLOWN, center, x, y))
-    labels = keep + new
-    ranks = {x: p.rank(x) for x in keep}
-    for t in new:
-        ranks[t] = p.rank(t[2]) + 1
-    pairs = []
-    for x in keep:
-        for y in keep:
-            if p.leq(x, y):
-                pairs.append((x, y))
-    for t in new:
-        _, _, tx, ty = t
-        for x in keep:
-            if p.leq(x, tx):
-                pairs.append((x, t))
-        for s in new:
-            if p.leq(s[2], tx) and p.leq(s[3], ty):
-                pairs.append((s, t))
-    proj = {x: x for x in keep}
-    for t in new:
+    up, down, labels = p._up, p._down, p.labels
+    above = up[p.index[center]]
+    keep = [i for i in range(p.n) if not (above >> i) & 1]
+    new = []  # (x, y) as indices of p
+    for i in keep:
+        common = above & up[i]
+        m = common
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            if common & down[j] == 1 << j:
+                new.append((i, j))
+    # masks over the new poset's indices: keep first, then the new elements
+    nk = len(keep)
+    bit = [0] * p.n
+    for k, i in enumerate(keep):
+        bit[i] = 1 << k
+    by_x, by_y = {}, {}
+    for k, (i, j) in enumerate(new):
+        by_x[i] = by_x.get(i, 0) | 1 << (nk + k)
+        by_y[j] = by_y.get(j, 0) | 1 << (nk + k)
+    # x_above[w] (y_above[w]): the new elements whose x (y) lies above w
+    x_above, y_above = [0] * p.n, [0] * p.n
+    for table, groups in ((x_above, by_x), (y_above, by_y)):
+        for i, group in groups.items():
+            m = down[i]
+            while m:
+                w = (m & -m).bit_length() - 1
+                m &= m - 1
+                table[w] |= group
+    new_up = []
+    for i in keep:
+        acc = x_above[i]
+        m = up[i] & ~above
+        while m:
+            w = (m & -m).bit_length() - 1
+            m &= m - 1
+            acc |= bit[w]
+        new_up.append(acc)
+    new_up += [x_above[i] & y_above[j] for i, j in new]
+    old = [labels[i] for i in keep]
+    blown = [(_BLOWN, center, labels[i], labels[j]) for i, j in new]
+    ranks = [p.rank_list[i] for i in keep] + [p.rank_list[i] + 1 for i, _ in new]
+    q = RankedPoset._from_masks(old + blown, ranks, new_up)
+    proj = {x: x for x in old}
+    for t in blown:
         proj[t] = t[3]
-    return RankedPoset(labels, ranks, pairs), proj
+    return q, proj
 
 
 def iterated_blowup(p: RankedPoset, centers) -> tuple[RankedPoset, dict]:

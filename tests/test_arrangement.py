@@ -113,3 +113,32 @@ def test_phase_of():
     assert named["L2"].phase_of([0, 1, 0]) == Fraction(1, 3)
     assert named["L2"].phase_of([0, 3, 0]) == 0
     assert named["a"].phase_of([0, 1, 0]) is None
+
+
+def test_layer_hash_ignores_generating_rows():
+    r1, r2 = [1, 2, 0], [0, 1, 1]
+    a, b = Fraction(1, 2), Fraction(1, 3)
+    k1 = Layer.make(3, [r1, r2], [a, b])
+    k2 = Layer.make(3, [r1, [x + y for x, y in zip(r1, r2)]], [a, a + b])
+    assert k1 == k2 and k1 is not k2
+    assert hash(k1) == hash(k2)
+    assert len({k1, k2}) == 1
+
+
+def test_layer_hash_survives_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    k = running_named_layers()["L2"]
+    for twin in (pickle.loads(pickle.dumps(k)), copy.deepcopy(k)):
+        assert twin == k and hash(twin) == hash(k)
+        assert {k: "L2"}[twin] == "L2"
+
+
+def test_layer_surface_unchanged():
+    import dataclasses
+
+    k = running_named_layers()["L2"]
+    assert [f.name for f in dataclasses.fields(Layer)] == ["lattice", "phase"]
+    assert repr(k) == "K[1,0,0;0,1,0|0,1/3]"
+    assert k.sort_key() == (2, ((1, 0, 0), (0, 1, 0)), ((0, 1), (1, 3)))

@@ -1,0 +1,223 @@
+"""Differential tests of the layer and blowup core against reference oracles.
+
+The oracles below are the straightforward versions of ``poset_of_layers``
+and ``blowup_at``: the poset of layers intersects every ordered pair of
+layers (the whole torus included), computes phases one ``Fraction``
+product at a time and lists every order pair by label; the blowup builds
+its order as a list of label pairs.  The library's versions work on
+cached hashes, integer indices and bitmasks, and must give the same
+labels, in the same order, with the same ranks and the same order.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wondertoric import arrangement
+from wondertoric import poset as poset_module
+from wondertoric.arrangement import Layer, ToricArrangement, poset_of_layers
+from wondertoric.fixtures import a_n_c, fig5_poset, running_poset
+from wondertoric.intlinalg import Sublattice, hnf, is_saturated, snf
+from wondertoric.poset import (
+    _BLOWN,
+    RankedPoset,
+    blowup_at,
+    iterated_blowup,
+    linear_refinements,
+    make_building_set,
+    minimal_building_set,
+)
+
+# -- reference oracles -----------------------------------------------------
+
+
+def _mod1(x):
+    return x - (x.numerator // x.denominator)
+
+
+def _dot(coeffs, values):
+    return sum((Fraction(c) * w for c, w in zip(coeffs, values)), Fraction(0))
+
+
+def ref_make(n, rows, values):
+    rows = [tuple(map(int, r)) for r in rows]
+    lat = Sublattice.from_rows(n, rows)
+    assert is_saturated(lat)
+    h, u = hnf(rows, cols=n)
+    phases = tuple(_mod1(_dot(u[i], values)) for i, hrow in enumerate(h) if any(hrow))
+    return Layer(lat, phases)
+
+
+def ref_phase_of(k, character):
+    coeffs = k.lattice.solve(character)
+    return None if coeffs is None else _mod1(_dot(coeffs, k.phase))
+
+
+def ref_leq(k1, k2):
+    return all(ref_phase_of(k2, row) == value
+               for row, value in zip(k1.lattice.basis, k1.phase))
+
+
+def ref_intersect(k1, k2):
+    n = k1.ambient_rank
+    rows = list(k1.lattice.basis) + list(k2.lattice.basis)
+    values = list(k1.phase) + list(k2.phase)
+    if not rows:
+        return [Layer.whole_torus(n)]
+    res = snf(rows, transforms=True)
+    r = res.rank
+    uw = [_dot(urow, values) for urow in res.left]
+    if any(_mod1(uw[i]) != 0 for i in range(r, len(rows))):
+        return []
+    sat_rows = [res.right_inv[i] for i in range(r)]
+    d = res.invariant_factors
+    choices = [[_mod1(uw[i] / d[i] + Fraction(t, d[i])) for t in range(d[i])]
+               for i in range(r)]
+    out = [ref_make(n, sat_rows, combo) for combo in itertools.product(*choices)]
+    return sorted(out, key=Layer.sort_key)
+
+
+def ref_poset_of_layers(arr):
+    zero = Layer.whole_torus(arr.ambient_rank)
+    layers = {zero}
+    frontier = set()
+    for k in arr.subtori:
+        if k not in layers:
+            layers.add(k)
+            frontier.add(k)
+    while frontier:
+        new = set()
+        for a in sorted(layers, key=Layer.sort_key):
+            for b in sorted(frontier, key=Layer.sort_key):
+                if a is not b:
+                    new.update(c for c in ref_intersect(a, b) if c not in layers)
+        layers |= new
+        frontier = new
+    ordered = sorted(layers, key=Layer.sort_key)
+    pairs = [(a, b) for a in ordered for b in ordered if ref_leq(a, b)]
+    return RankedPoset(ordered, {a: a.rank for a in ordered}, pairs)
+
+
+def ref_blowup_at(p, center):
+    if center == p.zero or center not in p.index:
+        raise ValueError("center must be an element above the minimum")
+    keep = [x for x in p.labels if not p.leq(center, x)]
+    new = [(_BLOWN, center, x, y) for x in keep for y in p.joins(center, x)]
+    ranks = {x: p.rank(x) for x in keep}
+    for t in new:
+        ranks[t] = p.rank(t[2]) + 1
+    pairs = [(x, y) for x in keep for y in keep if p.leq(x, y)]
+    for t in new:
+        pairs += [(x, t) for x in keep if p.leq(x, t[2])]
+        pairs += [(s, t) for s in new if p.leq(s[2], t[2]) and p.leq(s[3], t[3])]
+    proj = {x: x for x in keep}
+    proj.update((t, t[3]) for t in new)
+    return RankedPoset(keep + new, ranks, pairs), proj
+
+
+# -- comparisons -------------------------------------------------------------
+
+
+def assert_same_poset(got, want):
+    assert got.labels == want.labels
+    assert [got.rank(x) for x in got.labels] == [want.rank(x) for x in want.labels]
+    for x in want.labels:
+        for y in want.labels:
+            assert got.leq(x, y) == want.leq(x, y), (x, y)
+
+
+def assert_blowups_agree(p):
+    for center in p.labels:
+        if center == p.zero:
+            continue
+        q, proj = blowup_at(p, center)
+        ref_q, ref_proj = ref_blowup_at(p, center)
+        assert_same_poset(q, ref_q)
+        assert proj == ref_proj
+
+
+BASE_POSETS = {
+    "running": running_poset,
+    "fig5": fig5_poset,
+    "A(2,2)": lambda: poset_of_layers(a_n_c(2, 2)),
+    "A(3,2)": lambda: poset_of_layers(a_n_c(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", BASE_POSETS)
+def test_blowup_at_matches_reference_at_every_center(name):
+    assert_blowups_agree(BASE_POSETS[name]())
+
+
+@pytest.mark.parametrize("n, c", [(1, 3), (2, 2), (2, 5), (3, 2)])
+def test_poset_of_layers_matches_reference_anc(n, c):
+    arr = a_n_c(n, c)
+    assert_same_poset(poset_of_layers(arr), ref_poset_of_layers(arr))
+
+
+@pytest.mark.parametrize("name", ["running", "A(3,2)"])
+def test_iterated_blowup_matches_reference(name, monkeypatch):
+    p = BASE_POSETS[name]()
+    building = make_building_set(p, minimal_building_set(p))
+    for order in linear_refinements(p, building.members, 2):
+        q, decode = iterated_blowup(p, order)
+        monkeypatch.setattr(poset_module, "blowup_at", ref_blowup_at)
+        ref_q, ref_decode = iterated_blowup(p, order)
+        monkeypatch.undo()
+        assert_same_poset(q, ref_q)
+        assert decode == ref_decode
+
+
+def _layer_or_none(rank, rows, nums, q):
+    try:
+        return Layer.make(rank, rows, [Fraction(a, q) for a in nums])
+    except ValueError:  # dependent rows or a disconnected subtorus
+        return None
+
+
+def subtori(rank, q):
+    """Connected subtori of codimension 1 to rank - 1 with phases a/q."""
+    entries = st.integers(-2, 2)
+    return st.integers(1, rank - 1).flatmap(lambda codim: st.builds(
+        _layer_or_none, st.just(rank),
+        st.lists(st.lists(entries, min_size=rank, max_size=rank),
+                 min_size=codim, max_size=codim),
+        st.lists(st.integers(0, q - 1), min_size=codim, max_size=codim),
+        st.just(q))).filter(lambda k: k is not None)
+
+
+@st.composite
+def torsion_arrangements(draw):
+    """Rank-2 and rank-3 arrangements with phases p/q, q <= 3."""
+    rank = draw(st.sampled_from((2, 3)))
+    q = draw(st.integers(1, 3))
+    layers = draw(st.lists(subtori(rank, q), min_size=2,
+                           max_size=4 if rank == 2 else 3))
+    return ToricArrangement(rank, tuple(layers))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(torsion_arrangements())
+def test_poset_of_layers_matches_reference_random(arr):
+    p = poset_of_layers(arr)
+    assert_same_poset(p, ref_poset_of_layers(arr))
+    assert_blowups_agree(p)
+
+
+def test_each_unordered_pair_intersected_once(monkeypatch):
+    met = []
+    original = arrangement.intersect_layers
+
+    def counting(a, b):
+        met.append(frozenset((a, b)))
+        return original(a, b)
+
+    monkeypatch.setattr(arrangement, "intersect_layers", counting)
+    p = poset_of_layers(a_n_c(3, 2))
+    layers = [x for x in p.labels if x != p.zero]
+    assert len(met) == len(set(met))
+    assert set(met) == {frozenset(pair) for pair in itertools.combinations(layers, 2)}
