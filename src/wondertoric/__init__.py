@@ -51,7 +51,6 @@ from .polyring import (
     Polynomial,
     VariableTable,
     buchberger,
-    compare,
     graded_rank_oracle,
     groebner_witness,
     is_groebner,

@@ -28,7 +28,7 @@ def mat_mul(a, b) -> list[list[int]]:
 
 
 def freeze(mat) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in mat)
+    return tuple(tuple(map(int, row)) for row in mat)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,13 @@ are both units need no S-pair and give no GCD-pair.  Over Z the criterion
 is sound only with unit coefficients (Lichtblau 2012).  The sweep counts
 what it skips and reduces; ``groebner_witness`` returns the first pair
 whose normal form is nonzero, which ``is_groebner`` reduces to a bool.
+
+Two independent routes give graded ranks, and both cost what their output
+costs.  ``GroebnerBasis.standard_monomials`` grows the escalier degree by
+degree outside the initial ideal, testing each new monomial against the
+unit leads through the divisibility index.  ``graded_rank_oracle``
+eliminates the unit entries of the relation matrix in Markowitz order off
+a heap, and hands what is left to a dense Smith normal form.
 """
 
 from __future__ import annotations
@@ -170,12 +177,6 @@ class VariableTable:
                 bits.append(f"{'+' if c > 0 else '-'}{abs(c)}*{s}")
         out = "".join(bits)
         return out[1:] if out.startswith("+") else out
-
-
-def compare(table: VariableTable, m1: Monomial, m2: Monomial) -> int:
-    """Weighted degree-reverse-lexicographic comparison: -1, 0 or 1."""
-    k1, k2 = table.mono_key(m1), table.mono_key(m2)
-    return (k1 > k2) - (k1 < k2)
 
 
 class Polynomial:
@@ -421,26 +422,51 @@ class GroebnerBasis:
 
     # -- escalier -------------------------------------------------------
 
-    def _unit_leads(self):
-        return [(self._lm[i], self._mask[i], self._deg[i])
-                for i in range(len(self._lm)) if abs(self._lc[i]) == 1]
+    def _unit_lead_divides(self, m: Monomial, mask: int) -> bool:
+        """Does the lead of an element with leading coefficient 1 divide m?"""
+        lcs, powers = self._lc, self._powers
+        candidates = self._candidates.get(mask)
+        if candidates is None:
+            candidates = self._candidates_for(mask)
+        for i in candidates:
+            if lcs[i] == 1:
+                for p, e in powers[i]:
+                    if m[p] < e:
+                        break
+                else:
+                    return True
+        return False
 
     def standard_monomials(self, d: int, positions=None) -> list[Monomial]:
-        """Degree-d monomials outside the unit-coefficient initial ideal."""
-        leads = self._unit_leads()
-        out = []
-        for m in self.table.monomials_of_degree(d, positions):
-            mask = self.table.mono_mask(m)
-            divisible = False
-            for lm, lmask, ldeg in leads:
-                if ldeg > d or (lmask & ~mask):
+        """Degree-d monomials outside the unit-coefficient initial ideal.
+
+        Only the variables at ``positions`` (default: all) may occur.  The
+        monomials outside an initial ideal form an order ideal, so level k
+        is grown from the levels below it: each standard m of degree
+        k - w_p times x_p, kept unless a unit lead divides it.  The cost
+        follows the escalier, not the number of degree-d monomials.
+        Largest first under the monomial order.
+        """
+        if d < 0:
+            return []
+        table = self.table
+        weights = table.weights
+        pos = tuple(positions) if positions is not None else tuple(range(table.n))
+        one = table.one()
+        # levels[k]: the standard monomials of degree k, with support masks
+        levels = [{} if self._unit_lead_divides(one, 0) else {one: 0}]
+        for k in range(1, d + 1):
+            level = {}
+            for p in pos:
+                w = weights[p]
+                if w > k:
                     continue
-                if self.table.mono_divides(lm, m):
-                    divisible = True
-                    break
-            if not divisible:
-                out.append(m)
-        return out
+                bit = 1 << p
+                for m, mask in levels[k - w].items():
+                    level.setdefault(m[:p] + (m[p] + 1,) + m[p + 1:], mask | bit)
+            levels.append({m: mask for m, mask in level.items()
+                           if not self._unit_lead_divides(m, mask)})
+        return sorted(levels[d], key=table.mono_key, reverse=True)
 
     def hilbert(self, up_to: int, positions=None) -> list[int]:
         return [len(self.standard_monomials(d, positions))
@@ -633,8 +659,13 @@ def is_groebner(table: VariableTable, polys, degree_cap: int) -> bool:
 def _sparse_quotient(rows: list[dict], ncols: int) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion of Z^ncols modulo the row span.
 
-    Unit pivots are contracted greedily; anything left without a unit
-    entry goes through a dense Smith normal form.
+    Unit pivots are contracted in Markowitz order: a heap holds
+    ``(cost, row, column)`` for the entries of value ±1, with cost
+    ``(row length - 1) * (column length - 1)``.  An entry is checked when
+    it comes off the heap: it is dropped if its row is gone or the entry is
+    no longer a unit, and pushed back if its cost has risen.  A row changed
+    by an elimination pushes its unit entries again.  Anything left without
+    a unit entry goes through a dense Smith normal form.
     """
     rows = [dict(r) for r in rows if r]
     col_rows: dict[int, set[int]] = {}
@@ -643,6 +674,15 @@ def _sparse_quotient(rows: list[dict], ncols: int) -> tuple[int, tuple[int, ...]
             col_rows.setdefault(c, set()).add(ridx)
     alive = set(range(len(rows)))
     contracted = 0
+
+    def unit_entries(ridx: int):
+        r = rows[ridx]
+        size = len(r) - 1
+        return [(size * (len(col_rows[c]) - 1), ridx, c)
+                for c, v in r.items() if v == 1 or v == -1]
+
+    heap = [entry for ridx in alive for entry in unit_entries(ridx)]
+    heapify(heap)
 
     def row_sub(dst: int, src: int, q: int):
         rd, rs = rows[dst], rows[src]
@@ -655,35 +695,29 @@ def _sparse_quotient(rows: list[dict], ncols: int) -> tuple[int, tuple[int, ...]
             elif c in rd:
                 del rd[c]
                 col_rows[c].discard(dst)
+        for entry in unit_entries(dst):
+            heappush(heap, entry)
 
-    while True:
-        pivot = None
-        best = None
-        for ridx in alive:
-            for c, v in rows[ridx].items():
-                if abs(v) == 1:
-                    cost = (len(rows[ridx]) - 1) * (len(col_rows[c]) - 1)
-                    if best is None or cost < best:
-                        best = cost
-                        pivot = (ridx, c)
-                    if cost == 0:
-                        break
-            if best == 0:
-                break
-        if pivot is None:
-            break
-        ridx, c = pivot
-        q0 = rows[ridx][c]
+    while heap:
+        cost, ridx, c = heappop(heap)
+        if ridx not in alive:
+            continue
+        q0 = rows[ridx].get(c)
+        if q0 != 1 and q0 != -1:
+            continue
+        now = (len(rows[ridx]) - 1) * (len(col_rows[c]) - 1)
+        if now > cost:
+            heappush(heap, (now, ridx, c))
+            continue
         if q0 < 0:
             rows[ridx] = {cc: -vv for cc, vv in rows[ridx].items()}
-        for other in list(col_rows.get(c, ())):
-            if other == ridx or other not in alive:
-                continue
-            row_sub(other, ridx, rows[other][c])
+        for other in list(col_rows[c]):
+            if other != ridx:
+                row_sub(other, ridx, rows[other][c])
         for cc in rows[ridx]:
             col_rows[cc].discard(ridx)
         alive.discard(ridx)
-        col_rows.pop(c, None)
+        col_rows.pop(c)
         contracted += 1
 
     residual_rows = [rows[r] for r in alive if rows[r]]

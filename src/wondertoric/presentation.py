@@ -15,8 +15,6 @@ admissible-monomial basis elements.  They are required to agree.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .fan import Fan, is_smooth, restrict_fan
@@ -41,14 +39,6 @@ from .poset import (
     contraction_iso,
     deletion,
 )
-
-
-def worker_count() -> int:
-    """Worker cap from WONDER_THREADS (default 1; results never depend on it)."""
-    try:
-        return max(1, int(os.environ.get("WONDER_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _dot(u, v) -> int:
@@ -412,7 +402,7 @@ class ModelPresentation:
 
     # -- graded ranks --------------------------------------------------------
 
-    def betti(self, verify: bool = True, threads: int | None = None) -> "BettiReport":
+    def betti(self, verify: bool = True) -> "BettiReport":
         table = self.table
         cap = self.degree_cap
         verified = self.verify_alpha() if verify else None
@@ -431,13 +421,7 @@ class ModelPresentation:
             raise AssertionError(
                 f"escalier does not vanish above the torus dimension: {above}")
         gens = self.toric() + self.relations().all()
-        threads = worker_count() if threads is None else max(1, threads)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                oracle = list(pool.map(
-                    lambda d: graded_rank_oracle(table, gens, d), degrees))
-        else:
-            oracle = [graded_rank_oracle(table, gens, d) for d in degrees]
+        oracle = [graded_rank_oracle(table, gens, d) for d in degrees]
         from . import admissible
 
         basis_degrees = admissible.basis_degree_counts(self, self.dim)

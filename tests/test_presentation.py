@@ -238,14 +238,6 @@ def test_presentation_from_arrangement_validation():
         presentation_from_arrangement(arr, fan, selector=[next(iter(arr.subtori))])
 
 
-def test_betti_thread_count_is_immaterial():
-    pres = presentation_from_arrangement(a_n_c(2, 2), a22_fan(), selector="max")
-    sequential = pres.betti(threads=1)
-    threaded = pres.betti(threads=3)
-    assert sequential.ranks == threaded.ranks
-    assert sequential.routes == threaded.routes
-
-
 def test_restriction_image_examples(running_pres):
     # toric variables pass through or die by the annihilator rule; blowup
     # variables map to the joins with the stratum's atom
