@@ -13,6 +13,7 @@ from .arrangement import (
     ToricArrangement,
     intersect_layers,
     layer_leq,
+    name_layers,
     poset_of_layers,
 )
 from .fan import (
@@ -73,6 +74,7 @@ from .poset import (
     minimal_building_set,
     minimal_well_connected,
     nested_sets,
+    select_building,
 )
 from .presentation import (
     BettiReport,

@@ -61,49 +61,77 @@ def monomial_to_function(pres, chain, exps) -> AdmissibleFunction:
     return AdmissibleFunction(frozenset(support), ordered, chain, exps)
 
 
+def _member_bounds(pres, top) -> dict:
+    """Member g of ``top`` -> rank of g minus that of the join of the
+    smaller members: an admissible value on g stays below it."""
+    poset = pres.poset
+    members = pres.bl.nested(top).members
+    bounds = {}
+    for g in members:
+        below = [h for h in members if poset.lt(h, g)]
+        m = poset.join_in_interval(below, g)
+        if m is None:
+            raise AssertionError("join of smaller members missing below a member")
+        bounds[g] = poset.rank(g) - poset.rank(m)
+    return bounds
+
+
 def is_admissible(pres, chain, exps) -> bool:
     """Each member's value stays under its rank gap inside the top stratum."""
     f = monomial_to_function(pres, chain, exps)
     if not f.chain:
         return True
-    poset = pres.poset
-    top = pres.bl.nested(f.chain[-1])
-    for g in top.members:
-        below = [h for h in top.members if poset.lt(h, g)]
-        m = poset.join_in_interval(below, g)
-        if m is None:
-            raise AssertionError("join of smaller members missing below a member")
-        if f.value(g) >= poset.rank(g) - poset.rank(m):
-            return False
-    return True
+    return all(f.value(g) < bound
+               for g, bound in _member_bounds(pres, f.chain[-1]).items())
 
 
 def _chains(pres):
     blp = pres.bl.poset
     nonzero = [x for x in blp.labels if x != blp.zero]
+    above = {x: [y for y in blp.upset(x) if y != x] for x in nonzero}
 
     def extend(chain):
         yield tuple(chain)
-        last = chain[-1]
-        for x in nonzero:
-            if blp.lt(last, x):
-                yield from extend(chain + [x])
+        for x in above[chain[-1]]:
+            yield from extend(chain + [x])
 
     for x in nonzero:
         yield from extend([x])
 
 
+def _exponents(steps, bounds, values, exps=(), degree=0):
+    """``(exps, degree)`` for each way to give the chain labels of
+    ``steps``, as ``(weight, members)``, exponents that keep every
+    member's value below its bound."""
+    if not steps:
+        yield exps, degree
+        return
+    (weight, members), rest = steps[0], steps[1:]
+    for e in range(1, min(bounds[g] - values[g] for g in members)):
+        for g in members:
+            values[g] += e
+        yield from _exponents(rest, bounds, values, exps + (e,), degree + weight * e)
+        for g in members:
+            values[g] -= e
+
+
 def enumerate_am(pres) -> list[AMItem]:
-    """All admissible monomials, including 1, in canonical order."""
-    blp = pres.bl.poset
-    max_rank = max(pres.poset.rank(x) for x in pres.poset.labels)
+    """All admissible monomials, including 1, in canonical order.
+
+    A chain's exponents are chosen left to right; each stops where a
+    member of its label, which is a member of the top, would reach its
+    bound.  Values only grow with the exponents, so nothing is missed.
+    """
+    bl = pres.bl
     out = [AMItem((), (), 0)]
+    bounds_of: dict = {}
     for chain in _chains(pres):
-        weights = [blp.rank(a) for a in chain]
-        for exps in itertools.product(range(1, max_rank + 1), repeat=len(chain)):
-            if is_admissible(pres, chain, exps):
-                out.append(AMItem(chain, exps,
-                                  sum(w * e for w, e in zip(weights, exps))))
+        if chain[-1] not in bounds_of:
+            bounds_of[chain[-1]] = _member_bounds(pres, chain[-1])
+        bounds = bounds_of[chain[-1]]
+        steps = [(bl.poset.rank(a), bl.nested(a).members) for a in chain]
+        out += [AMItem(chain, exps, degree) for exps, degree
+                in _exponents(steps, bounds, dict.fromkeys(bounds, 0))]
     out.sort(key=lambda it: (it.degree, it.chain, it.exps))
     return out
 

@@ -216,3 +216,18 @@ def poset_of_layers(arr: ToricArrangement) -> RankedPoset:
                 mask |= 1 << j
         up.append(mask)
     return RankedPoset._from_masks(ordered, rank_list, up)
+
+
+def name_layers(arr: ToricArrangement, poset: RankedPoset, given=None) -> dict:
+    """Names of the layers of ``arr``: those in ``given``, then the label a
+    subtorus is first listed under, "1" for the torus and W<rank>.<k>,
+    counted per rank in poset order, for the rest."""
+    names = {poset.zero: "1", **(given or {})}
+    for name, layer in arr.alias_map().items():
+        names.setdefault(layer, name)
+    counters: dict[int, int] = {}
+    for layer in poset.labels:
+        if layer not in names:
+            counters[layer.rank] = counters.get(layer.rank, 0) + 1
+            names[layer] = f"W{layer.rank}.{counters[layer.rank]}"
+    return names

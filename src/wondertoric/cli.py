@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import admissible
-from .arrangement import Layer, ToricArrangement, poset_of_layers
+from .arrangement import Layer, ToricArrangement, name_layers, poset_of_layers
 from .fan import Fan, is_smooth, make_fan
 from .poset import (
     blowup_building,
@@ -29,10 +29,9 @@ from .poset import (
     iterated_blowup,
     linear_refinements,
     make_building_set,
-    minimal_building_set,
-    minimal_well_connected,
+    select_building,
 )
-from .presentation import ModelPresentation, presentation_from_arrangement
+from .presentation import ModelPresentation
 
 
 class InputError(Exception):
@@ -128,38 +127,22 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _select_building(poset, selector: str, names: dict):
-    if selector == "min":
-        return minimal_building_set(poset)
-    if selector == "max":
-        return set(poset.labels) - {poset.zero}
-    if selector == "minwc":
-        return minimal_well_connected(poset, minimal_building_set(poset))
-    data = _load_json(selector)
-    if "labels" not in data:
-        raise InputError("explicit building-set file must have a 'labels' key")
-    by_name = {v: k for k, v in names.items()}
-    members = set()
-    for lab in data["labels"]:
-        if lab not in by_name:
-            raise InputError(f"unknown layer label {lab!r}")
-        members.add(by_name[lab])
-    if not is_building_set(poset, members):
-        raise InputError("the labels do not form a building set")
-    return members
-
-
-def _layer_names(arrangement, poset) -> dict:
-    names = {poset.zero: "1"}
-    for name, layer in arrangement.alias_map().items():
-        names[layer] = name
-    counters: dict[int, int] = {}
-    for layer in poset.labels:
-        if layer in names:
-            continue
-        counters[layer.rank] = counters.get(layer.rank, 0) + 1
-        names[layer] = f"W{layer.rank}.{counters[layer.rank]}"
-    return names
+def _read_building(poset, selector: str, names: dict) -> set:
+    """``select_building``'s members; a selector other than min, max or
+    minwc is a file {"labels": [...]} of layer names."""
+    if selector not in ("min", "max", "minwc"):
+        data = _load_json(selector)
+        if "labels" not in data:
+            raise InputError("explicit building-set file must have a 'labels' key")
+        by_name = {v: k for k, v in names.items()}
+        unknown = [lab for lab in data["labels"] if lab not in by_name]
+        if unknown:
+            raise InputError(f"unknown layer label {unknown[0]!r}")
+        selector = {by_name[lab] for lab in data["labels"]}
+    try:
+        return select_building(poset, selector)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +193,7 @@ def run(argv=None) -> int:
 def _dispatch(args, warnings) -> dict:
     arrangement = parse_arrangement(args.arrangement, warnings)
     poset = poset_of_layers(arrangement)
-    names = _layer_names(arrangement, poset)
+    names = name_layers(arrangement, poset)
 
     if args.command == "poset":
         return {
@@ -225,7 +208,7 @@ def _dispatch(args, warnings) -> dict:
         }
 
     if args.command == "building":
-        members = _select_building(poset, args.building, names)
+        members = _read_building(poset, args.building, names)
         return {
             "command": "building",
             "selector": args.building,
@@ -235,7 +218,7 @@ def _dispatch(args, warnings) -> dict:
             "is_geometric": is_building_set(poset, members, geometric=True),
         }
 
-    members = _select_building(poset, args.building, names)
+    members = _read_building(poset, args.building, names)
     building = make_building_set(poset, members)
 
     if args.command == "blowup":
@@ -297,8 +280,10 @@ def _dispatch(args, warnings) -> dict:
                  "exponents": list(it.exps), "degree": it.degree}
                 for it in items
             ],
-            "am_generating_function": admissible.am_generating_function(pres),
-            "b_generating_function": admissible.b_generating_function(pres),
+            "am_generating_function": admissible.generating_function(
+                it.degree for it in items),
+            "b_generating_function": admissible.generating_function(
+                d for _, d in basis),
             "basis": [pres.table.mono_name(m) for m, _ in basis],
         }
 

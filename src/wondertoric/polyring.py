@@ -31,9 +31,10 @@ whose normal form is nonzero, which ``is_groebner`` reduces to a bool.
 Two independent routes give graded ranks, and both cost what their output
 costs.  ``GroebnerBasis.standard_monomials`` grows the escalier degree by
 degree outside the initial ideal, testing each new monomial against the
-unit leads through the divisibility index.  ``graded_rank_oracle``
-eliminates the unit entries of the relation matrix in Markowitz order off
-a heap, and hands what is left to a dense Smith normal form.
+unit leads through the divisibility index.  ``graded_rank_oracle`` drops
+the columns of the relation matrix's single-unit rows at once, eliminates
+the remaining unit entries in Markowitz order off a heap, and hands what
+is left to a dense Smith normal form.
 """
 
 from __future__ import annotations
@@ -299,13 +300,17 @@ class GroebnerBasis:
         self._deg.append(table.mono_degree(lm))
         self._support.append(support)
         self._powers.append(tuple((p, e) for p, e in support if e > 1))
-        self._tails.append([(m, c, table.mono_degree(m), table.mono_mask(m))
-                            for m, c in f.terms.items() if m != lm])
+        self._tails.append(self._tail_data(f, lm))
         for p, _ in support:
             self._var_bits[p] |= 1 << k
         for term_mask, found in self._candidates.items():
             if not mask & ~term_mask:
                 found.append(k)
+
+    def _tail_data(self, f: Polynomial, lm: Monomial) -> list:
+        table = self.table
+        return [(m, c, table.mono_degree(m), table.mono_mask(m))
+                for m, c in f.terms.items() if m != lm]
 
     def __len__(self):
         return len(self.elements)
@@ -395,7 +400,12 @@ class GroebnerBasis:
                 work[key] = old - qc
 
     def minimalize(self) -> "GroebnerBasis":
-        """Drop strongly redundant leads, tail-reduce, canonical sort."""
+        """Drop strongly redundant leads, tail-reduce, canonical sort.
+
+        Tails are reduced in one basis of the kept elements, each written
+        back once reduced; leads, and so the index, do not change.  No
+        element reduces its own tail: every term there is below its lead.
+        """
         keep = []
         for i in range(len(self.elements)):
             redundant = False
@@ -410,15 +420,15 @@ class GroebnerBasis:
                     break
             if not redundant:
                 keep.append(i)
-        kept = [self.elements[i] for i in keep]
-        reduced = []
-        for i, f in enumerate(kept):
-            others = GroebnerBasis(self.table, reduced + kept[i + 1:])
-            lm, lc = self.table.leading(f)
-            tail = others.reduce(f - Polynomial({lm: lc}))
-            reduced.append(Polynomial({lm: lc}) + tail)
-        reduced.sort(key=lambda g: self.table.mono_key(self.table.leading(g)[0]))
-        return GroebnerBasis(self.table, reduced)
+        basis = GroebnerBasis(self.table, [self.elements[i] for i in keep])
+        for i, f in enumerate(basis.elements):
+            lead = Polynomial({basis._lm[i]: basis._lc[i]})
+            g = lead + basis.reduce(f - lead)
+            basis.elements[i] = g
+            basis._tails[i] = basis._tail_data(g, basis._lm[i])
+        key = self.table.mono_key
+        order = sorted(range(len(basis)), key=lambda i: key(basis._lm[i]))
+        return GroebnerBasis(self.table, [basis.elements[i] for i in order])
 
     # -- escalier -------------------------------------------------------
 
@@ -659,21 +669,26 @@ def is_groebner(table: VariableTable, polys, degree_cap: int) -> bool:
 def _sparse_quotient(rows: list[dict], ncols: int) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion of Z^ncols modulo the row span.
 
-    Unit pivots are contracted in Markowitz order: a heap holds
-    ``(cost, row, column)`` for the entries of value ±1, with cost
-    ``(row length - 1) * (column length - 1)``.  An entry is checked when
-    it comes off the heap: it is dropped if its row is gone or the entry is
-    no longer a unit, and pushed back if its cost has risen.  A row changed
-    by an elimination pushes its unit entries again.  Anything left without
-    a unit entry goes through a dense Smith normal form.
+    A row that is a single unit entry puts e_c in the row span, so column c
+    is dropped from every row at once and counted as contracted; rows left
+    empty go.  The other unit pivots are contracted in Markowitz order: a
+    heap holds ``(cost, row, column)`` for the entries of value ±1, with
+    cost ``(row length - 1) * (column length - 1)``.  An entry is checked
+    when it comes off the heap: it is dropped if its row is gone or the
+    entry is no longer a unit, and pushed back if its cost has risen.  A
+    row changed by an elimination pushes its unit entries again.  Anything
+    left without a unit entry goes through a dense Smith normal form.
     """
-    rows = [dict(r) for r in rows if r]
+    units = {c for r in rows if len(r) == 1
+             for c, v in r.items() if v == 1 or v == -1}
+    rows = [{c: v for c, v in r.items() if c not in units} for r in rows]
+    rows = [r for r in rows if r]
     col_rows: dict[int, set[int]] = {}
     for ridx, r in enumerate(rows):
         for c in r:
             col_rows.setdefault(c, set()).add(ridx)
     alive = set(range(len(rows)))
-    contracted = 0
+    contracted = len(units)
 
     def unit_entries(ridx: int):
         r = rows[ridx]

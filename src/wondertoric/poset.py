@@ -385,6 +385,24 @@ def minimal_building_set(p: RankedPoset) -> set:
     return out
 
 
+def select_building(p: RankedPoset, selector) -> set:
+    """Members of the building set "min", "max" (every element above the
+    minimum) or "minwc" (the minimal one closed under joins); any other
+    ``selector`` is a collection of elements that must form one."""
+    if isinstance(selector, str):
+        if selector == "min":
+            return minimal_building_set(p)
+        if selector == "max":
+            return set(p.labels) - {p.zero}
+        if selector == "minwc":
+            return minimal_well_connected(p, minimal_building_set(p))
+        raise ValueError(f"unknown building-set selector {selector!r}")
+    members = set(selector)
+    if not is_building_set(p, members):
+        raise ValueError("the given members are not a building set")
+    return members
+
+
 def is_well_connected(p: RankedPoset, members) -> bool:
     """Multi-element joins of members must stay inside the set."""
     members = list(members)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .arrangement import name_layers, poset_of_layers
 from .fan import Fan, is_smooth, restrict_fan
 from .intlinalg import Sublattice, complement_basis, hnf
 from .polyring import (
@@ -38,6 +39,8 @@ from .poset import (
     contraction,
     contraction_iso,
     deletion,
+    make_building_set,
+    select_building,
 )
 
 
@@ -612,42 +615,14 @@ def presentation_from_arrangement(arrangement, fan: Fan, selector="min",
     """Wire an arrangement and a fan into a model presentation.
 
     ``selector`` picks the building set: "min", "max", "minwc", or an
-    explicit collection of poset elements.  ``layer_names`` may name
-    derived layers; unnamed ones get generated W<rank>.<k> labels.
+    explicit collection of poset elements (see ``select_building``).
+    ``layer_names`` may name derived layers; unnamed ones get generated
+    W<rank>.<k> labels.
     """
-    from .arrangement import poset_of_layers
-    from .poset import (is_building_set, make_building_set,
-                        minimal_building_set, minimal_well_connected)
-
     if require_smooth and not is_smooth(fan):
         raise ValueError("the fan must be smooth")
     poset = poset_of_layers(arrangement)
-    if isinstance(selector, str):
-        if selector == "min":
-            members = minimal_building_set(poset)
-        elif selector == "max":
-            members = set(poset.labels) - {poset.zero}
-        elif selector == "minwc":
-            members = minimal_well_connected(poset, minimal_building_set(poset))
-        else:
-            raise ValueError(f"unknown building-set selector {selector!r}")
-    else:
-        members = set(selector)
-        if not is_building_set(poset, members):
-            raise ValueError("the given members are not a building set")
-    building = make_building_set(poset, members, order)
+    building = make_building_set(poset, select_building(poset, selector), order)
     lattices = {layer: layer.lattice for layer in poset.labels}
-    names = dict(layer_names or {})
-    alias = arrangement.alias_map()
-    for name, layer in alias.items():
-        names.setdefault(layer, name)
-    counters: dict[int, int] = {}
-    for layer in poset.labels:
-        if layer in names:
-            continue
-        if layer == poset.zero:
-            names[layer] = "1"
-            continue
-        counters[layer.rank] = counters.get(layer.rank, 0) + 1
-        names[layer] = f"W{layer.rank}.{counters[layer.rank]}"
+    names = name_layers(arrangement, poset, layer_names)
     return ModelPresentation(poset, lattices, building, fan, names, degree_cap)

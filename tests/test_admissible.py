@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from wondertoric import admissible
@@ -179,3 +181,75 @@ def test_flag_decomposition_normal_form_invariant(pres):
     lhs = reducer.reduce(table.term(1, mono))
     rhs = reducer.reduce(admissible.flag_decomposition(p, mono))
     assert lhs == rhs
+
+
+# -- the pruned enumeration against generate-and-test ---------------------------
+
+
+def reference_is_admissible(pres, chain, exps):
+    """Each member's value stays under its rank gap inside the top stratum,
+    with the bounds worked out afresh for every call."""
+    f = admissible.monomial_to_function(pres, chain, exps)
+    if not f.chain:
+        return True
+    poset = pres.poset
+    top = pres.bl.nested(f.chain[-1])
+    for g in top.members:
+        below = [h for h in top.members if poset.lt(h, g)]
+        m = poset.join_in_interval(below, g)
+        assert m is not None
+        if f.value(g) >= poset.rank(g) - poset.rank(m):
+            return False
+    return True
+
+
+def reference_enumerate_am(pres):
+    """Every chain of the blowup poset, grown by testing every label
+    against its last element, times every exponent tuple up to the top
+    rank; each tuple is tested, and the library's ``is_admissible`` must
+    agree with the reference test on it."""
+    blp = pres.bl.poset
+    nonzero = [x for x in blp.labels if x != blp.zero]
+    chains = []
+
+    def extend(chain):
+        chains.append(tuple(chain))
+        for x in nonzero:
+            if blp.lt(chain[-1], x):
+                extend(chain + [x])
+
+    for x in nonzero:
+        extend([x])
+    max_rank = max(pres.poset.rank(x) for x in pres.poset.labels)
+    out = [admissible.AMItem((), (), 0)]
+    for chain in chains:
+        weights = [blp.rank(a) for a in chain]
+        for exps in itertools.product(range(1, max_rank + 1), repeat=len(chain)):
+            ok = reference_is_admissible(pres, chain, exps)
+            assert admissible.is_admissible(pres, chain, exps) == ok
+            if ok:
+                out.append(admissible.AMItem(
+                    chain, exps, sum(w * e for w, e in zip(weights, exps))))
+    out.sort(key=lambda it: (it.degree, it.chain, it.exps))
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["running", "A(2,2)"])
+@pytest.mark.parametrize("selector", ["min", "minwc", "max"])
+def test_enumerate_am_matches_reference_down_the_peel(fixture, selector):
+    if fixture == "running":
+        arr, fan = running_arrangement(), running_fan()
+    else:
+        arr, fan = a_n_c(2, 2), a22_fan()
+    current = presentation_from_arrangement(arr, fan, selector=selector)
+    visited = 0
+    while True:
+        for p in ([current, current.contract_last()] if len(current.building)
+                  else [current]):
+            assert admissible.enumerate_am(p) == reference_enumerate_am(p)
+            visited += 1
+        if not len(current.building):
+            break
+        current = current.delete_last()
+    assert visited == 2 * len(
+        presentation_from_arrangement(arr, fan, selector=selector).building) + 1

@@ -4,6 +4,8 @@ from importlib import resources
 import pytest
 
 from wondertoric import cli
+from wondertoric.arrangement import name_layers, poset_of_layers
+from wondertoric.presentation import presentation_from_arrangement
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +121,30 @@ def test_explicit_building_file(tmp_path, capsys, data_dir):
         "building", "--arrangement", fixture_path(data_dir, "a22.arr.json"),
         "--building", str(bad)])
     assert code == 2 and "building" in err
+
+
+def test_subtorus_listed_twice_keeps_its_first_label(tmp_path, capsys, data_dir):
+    data = json.loads((data_dir / "a22.arr.json").read_text())
+    first = data["subtori"][0]
+    data["subtori"].append(dict(first, label="again"))
+    path = tmp_path / "twice.arr.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, ["poset", "--arrangement", str(path),
+                                    "--deterministic"])
+    names = [layer["name"] for layer in json.loads(out)["layers"]]
+    assert code == 0
+    assert first["label"] in names and "again" not in names
+    arr = cli.parse_arrangement(str(path), [])
+    poset = poset_of_layers(arr)
+    assert name_layers(arr, poset)[arr.subtori[0]] == first["label"]
+    fan = cli.parse_fan(fixture_path(data_dir, "a22.fan.json"), [])
+    pres = presentation_from_arrangement(arr, fan)
+    assert pres.layer_name(arr.subtori[0]) == first["label"]
+    sel = tmp_path / "building.json"
+    sel.write_text(json.dumps({"labels": ["again"]}))
+    code, _, err = run_cli(capsys, ["building", "--arrangement", str(path),
+                                    "--building", str(sel)])
+    assert code == 2 and "'again'" in err
 
 
 def test_model_betti_a22(capsys, data_dir):

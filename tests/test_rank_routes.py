@@ -1,13 +1,19 @@
 """Differential tests of the two graded-rank routes against reference oracles.
 
-The oracles below are the straightforward versions of the escalier and of
-the SNF rank oracle's sparse elimination: the escalier lists every
-degree-d monomial and tests each against every unit-coefficient lead; the
-elimination looks for each pivot by scanning every live row for the unit
-entry of least Markowitz cost.  The library grows the escalier level by
-level and takes its pivots off a heap; it must give the same monomials, in
-the same order, and the same rank and torsion.
+The oracles below are the straightforward versions of the escalier, of
+the SNF rank oracle's sparse elimination and of the inter-reduction that
+ends ``buchberger``: the escalier lists every degree-d monomial and tests
+each against every unit-coefficient lead; one elimination looks for each
+pivot by scanning every live row for the unit entry of least Markowitz
+cost, another takes every pivot, single-unit rows included, off a heap;
+``minimalize`` rebuilds a basis for every element whose tail it reduces.
+The library grows the escalier level by level, drops the columns of
+single-unit rows before its heap elimination, and tail-reduces in one
+basis; it must give the same monomials, in the same order, the same rank
+and torsion, and the same basis, term for term.
 """
+
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +27,10 @@ from wondertoric.polyring import (
     Polynomial,
     VariableTable,
     _sparse_quotient,
+    buchberger,
     graded_rank_oracle,
 )
-from wondertoric.presentation import presentation_from_arrangement
+from wondertoric.presentation import presentation_from_arrangement, toric_relations
 
 # -- reference oracles -----------------------------------------------------
 
@@ -105,6 +112,112 @@ def reference_sparse_quotient(rows, ncols):
             tuple(d for d in res.invariant_factors if d != 1))
 
 
+def reference_heap_quotient(rows, ncols):
+    """The same invariants, every unit pivot taken off a Markowitz heap."""
+    rows = [dict(r) for r in rows if r]
+    col_rows = {}
+    for ridx, r in enumerate(rows):
+        for c in r:
+            col_rows.setdefault(c, set()).add(ridx)
+    alive = set(range(len(rows)))
+    contracted = 0
+
+    def unit_entries(ridx):
+        r = rows[ridx]
+        size = len(r) - 1
+        return [(size * (len(col_rows[c]) - 1), ridx, c)
+                for c, v in r.items() if v == 1 or v == -1]
+
+    heap = [entry for ridx in alive for entry in unit_entries(ridx)]
+    heapify(heap)
+
+    def row_sub(dst, src, q):
+        rd, rs = rows[dst], rows[src]
+        for c, v in rs.items():
+            nv = rd.get(c, 0) - q * v
+            if nv:
+                if c not in rd:
+                    col_rows.setdefault(c, set()).add(dst)
+                rd[c] = nv
+            elif c in rd:
+                del rd[c]
+                col_rows[c].discard(dst)
+        for entry in unit_entries(dst):
+            heappush(heap, entry)
+
+    while heap:
+        cost, ridx, c = heappop(heap)
+        if ridx not in alive:
+            continue
+        q0 = rows[ridx].get(c)
+        if q0 != 1 and q0 != -1:
+            continue
+        now = (len(rows[ridx]) - 1) * (len(col_rows[c]) - 1)
+        if now > cost:
+            heappush(heap, (now, ridx, c))
+            continue
+        if q0 < 0:
+            rows[ridx] = {cc: -vv for cc, vv in rows[ridx].items()}
+        for other in list(col_rows[c]):
+            if other != ridx:
+                row_sub(other, ridx, rows[other][c])
+        for cc in rows[ridx]:
+            col_rows[cc].discard(ridx)
+        alive.discard(ridx)
+        col_rows.pop(c)
+        contracted += 1
+
+    residual = [rows[r] for r in alive if rows[r]]
+    if not residual:
+        return ncols - contracted, ()
+    res_cols = sorted({c for r in residual for c in r})
+    cidx = {c: k for k, c in enumerate(res_cols)}
+    dense = [[0] * len(res_cols) for _ in residual]
+    for k, r in enumerate(residual):
+        for c, v in r.items():
+            dense[k][cidx[c]] = v
+    res = snf(dense)
+    return (ncols - contracted - res.rank,
+            tuple(d for d in res.invariant_factors if d != 1))
+
+
+def reference_minimalize(basis):
+    """Drop strongly redundant leads, then reduce each kept element's tail
+    in a basis built afresh from the reduced earlier elements and the
+    later ones; sort by lead."""
+    table = basis.table
+    elements = basis.elements
+    leads = [table.leading(f) for f in elements]
+    keep = []
+    for i, (lm_i, lc_i) in enumerate(leads):
+        redundant = False
+        for j, (lm_j, lc_j) in enumerate(leads):
+            if i == j:
+                continue
+            if table.mono_divides(lm_j, lm_i) and lc_i % lc_j == 0:
+                if lm_j == lm_i and lc_j == lc_i and j > i:
+                    continue
+                redundant = True
+                break
+        if not redundant:
+            keep.append(i)
+    kept = [elements[i] for i in keep]
+    reduced = []
+    for i, f in enumerate(kept):
+        others = GroebnerBasis(table, reduced + kept[i + 1:])
+        lm, lc = table.leading(f)
+        tail = others.reduce(f - Polynomial({lm: lc}))
+        reduced.append(Polynomial({lm: lc}) + tail)
+    reduced.sort(key=lambda g: table.mono_key(table.leading(g)[0]))
+    return GroebnerBasis(table, reduced)
+
+
+def term_lists(basis):
+    """Each element's terms in insertion order: equal means the same basis,
+    term for term."""
+    return [list(f.terms.items()) for f in basis.elements]
+
+
 def dense_quotient(rows, ncols):
     """The same invariants from one dense Smith normal form."""
     if ncols == 0:
@@ -148,10 +261,40 @@ def test_restricted_escaliers_match_reference(model):
 def test_oracle_matches_reference_on_models(model, monkeypatch):
     table, gens = model.table, model.toric() + model.relations().all()
     got = [graded_rank_oracle(table, gens, d) for d in range(model.dim + 1)]
-    monkeypatch.setattr(polyring, "_sparse_quotient", reference_sparse_quotient)
-    want = [graded_rank_oracle(table, gens, d) for d in range(model.dim + 1)]
-    assert got == want
+    for reference in (reference_sparse_quotient, reference_heap_quotient):
+        monkeypatch.setattr(polyring, "_sparse_quotient", reference)
+        want = [graded_rank_oracle(table, gens, d) for d in range(model.dim + 1)]
+        assert got == want, reference.__name__
     assert all(torsion == () for _, torsion in got)
+
+
+def test_buchberger_matches_reference_minimalize_on_restricted_bases(
+        model, monkeypatch):
+    inputs = [toric_relations(model.restricted_fan(layer), model.table)
+              for layer in model.poset.labels]
+    got = [term_lists(buchberger(model.table, gens, model.degree_cap))
+           for gens in inputs]
+    monkeypatch.setattr(GroebnerBasis, "minimalize", reference_minimalize)
+    want = [term_lists(buchberger(model.table, gens, model.degree_cap))
+            for gens in inputs]
+    assert got == want
+
+
+def test_minimalize_reduces_against_reduced_earlier_elements():
+    # x > y > z > w.  x + 2y loses 2y to 2y + w and becomes x - w, which
+    # turns the tail x*w of z^2 + x*w into w^2.  The unreduced x + 2y
+    # would leave -2*y*w, which y*w + z*w, tried before 2y + w, turns
+    # into 2*z*w: the basis is not a Groebner basis, so the order matters.
+    t = VariableTable("xyzw", (1,) * 4, "xyzw", ("c",) * 4)
+    x, y, z, w = (t.variable(v) for v in "xyzw")
+    m = t.mono_mul
+    basis = GroebnerBasis(t, [
+        t.poly({x: 1, y: 2}), t.poly({m(y, w): 1, m(z, w): 1}),
+        t.poly({m(z, z): 1, m(x, w): 1}), t.poly({y: 2, w: 1})])
+    got = basis.minimalize()
+    assert term_lists(got) == term_lists(reference_minimalize(basis))
+    assert [t.poly_name(f) for f in got.elements] == [
+        "2*y+w", "x-w", "y*w+z*w", "z^2+w^2"]
 
 
 # -- generated inputs -----------------------------------------------------------
@@ -179,6 +322,45 @@ def test_escalier_matches_reference_on_weighted_tables(basis_positions, d):
     basis, positions = basis_positions
     assert (basis.standard_monomials(d, positions)
             == reference_standard_monomials(basis, d, positions))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_bases())
+def test_minimalize_matches_reference_on_weighted_tables(basis_positions):
+    basis, _ = basis_positions
+    assert term_lists(basis.minimalize()) == term_lists(reference_minimalize(basis))
+
+
+@st.composite
+def homogeneous_inputs(draw):
+    """Homogeneous generators of one degree over a weighted table of 1 to
+    4 variables, with coefficients from -3 to 3, and a degree cap."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    names = [f"v{i}" for i in range(n)]
+    table = VariableTable(names, weights, names, ("c",) * n)
+    d = draw(st.integers(1, 3))
+    monomials = table.monomials_of_degree(d)
+    if not monomials:
+        return table, [], d
+    coeffs = st.integers(-3, 3).filter(bool)
+    polys = st.dictionaries(st.sampled_from(monomials), coeffs, min_size=1, max_size=3)
+    gens = draw(st.lists(polys.map(Polynomial), max_size=4))
+    return table, gens, d + draw(st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_inputs())
+def test_buchberger_matches_reference_minimalize_on_weighted_tables(inputs):
+    table, gens, cap = inputs
+    got = term_lists(buchberger(table, gens, cap))
+    original = GroebnerBasis.minimalize
+    GroebnerBasis.minimalize = reference_minimalize
+    try:
+        want = term_lists(buchberger(table, gens, cap))
+    finally:
+        GroebnerBasis.minimalize = original
+    assert got == want
 
 
 def test_escalier_weights_and_unit_leads():
@@ -210,6 +392,7 @@ def test_sparse_quotient_matches_references(rows_ncols):
     rows, ncols = rows_ncols
     got = _sparse_quotient(rows, ncols)
     assert got == reference_sparse_quotient(rows, ncols)
+    assert got == reference_heap_quotient(rows, ncols)
     assert got == dense_quotient(rows, ncols)
 
 
@@ -220,7 +403,12 @@ def test_sparse_quotient_matches_references(rows_ncols):
     ([{0: 1, 1: 2}, {1: 4}], 2, (0, (4,))),
     ([{0: -1, 1: 3}, {0: 1, 1: 1}], 2, (0, (4,))),
     ([], 3, (3, ())),
+    # single-unit rows: two on one column, a -1, and one beside a 2
+    ([{0: 1}, {0: 1}, {0: 1, 1: 3}], 2, (0, (3,))),
+    ([{1: -1}, {0: 2, 1: 5}], 2, (0, (2,))),
+    ([{0: 1}, {0: 2, 1: 2}], 2, (0, (2,))),
 ])
 def test_sparse_quotient_torsion(rows, ncols, expected):
     assert _sparse_quotient(rows, ncols) == expected
     assert reference_sparse_quotient(rows, ncols) == expected
+    assert reference_heap_quotient(rows, ncols) == expected
