@@ -30,7 +30,7 @@ print("well-connected?", is_well_connected(poset, minimal))
 closure = minimal_well_connected(poset, minimal)
 print(f"well-connected closure has {len(closure)} members (the maximal one)")
 
-for n, c in [(2, 2), (2, 3), (3, 2)]:
+for n, c in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
     p = poset_of_layers(a_n_c(n, c))
     wc = minimal_well_connected(p, minimal_building_set(p))
     print(f"A({n},{c}): minimal {n}, closure {len(wc)} = ((c+1)^n-1)/c "

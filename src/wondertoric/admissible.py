@@ -61,28 +61,13 @@ def monomial_to_function(pres, chain, exps) -> AdmissibleFunction:
     return AdmissibleFunction(frozenset(support), ordered, chain, exps)
 
 
-def _member_bounds(pres, top) -> dict:
-    """Member g of ``top`` -> rank of g minus that of the join of the
-    smaller members: an admissible value on g stays below it."""
-    poset = pres.poset
-    members = pres.bl.nested(top).members
-    bounds = {}
-    for g in members:
-        below = [h for h in members if poset.lt(h, g)]
-        m = poset.join_in_interval(below, g)
-        if m is None:
-            raise AssertionError("join of smaller members missing below a member")
-        bounds[g] = poset.rank(g) - poset.rank(m)
-    return bounds
-
-
 def is_admissible(pres, chain, exps) -> bool:
     """Each member's value stays under its rank gap inside the top stratum."""
     f = monomial_to_function(pres, chain, exps)
     if not f.chain:
         return True
-    return all(f.value(g) < bound
-               for g, bound in _member_bounds(pres, f.chain[-1]).items())
+    gaps = pres.bl.nested(f.chain[-1]).gaps(pres.poset)
+    return all(f.value(g) < gap for g, gap in gaps.items())
 
 
 def _chains(pres):
@@ -127,7 +112,7 @@ def enumerate_am(pres) -> list[AMItem]:
     bounds_of: dict = {}
     for chain in _chains(pres):
         if chain[-1] not in bounds_of:
-            bounds_of[chain[-1]] = _member_bounds(pres, chain[-1])
+            bounds_of[chain[-1]] = bl.nested(chain[-1]).gaps(pres.poset)
         bounds = bounds_of[chain[-1]]
         steps = [(bl.poset.rank(a), bl.nested(a).members) for a in chain]
         out += [AMItem(chain, exps, degree) for exps, degree

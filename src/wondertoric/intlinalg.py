@@ -90,13 +90,6 @@ def snf(mat, transforms: bool = False, cols: int | None = None) -> SNFResult:
             r[i], r[j] = r[j], r[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
-    def col_neg(i):
-        for r in a:
-            r[i] = -r[i]
-        for r in v:
-            r[i] = -r[i]
-        vinv[i] = [-x for x in vinv[i]]
-
     def col_add(i, j, q):
         # col_j += q * col_i  (inverse acts on rows of vinv: row_i -= q*row_j)
         for r in a:

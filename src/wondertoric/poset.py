@@ -113,20 +113,11 @@ class RankedPoset:
             out.append(self.labels[j])
         return out
 
-    def up_mask(self, x) -> int:
-        return self._up[self.index[x]]
-
-    def down_mask(self, x) -> int:
-        return self._down[self.index[x]]
-
     def upset(self, x) -> list:
         return self._members(self._up[self.index[x]])
 
     def downset(self, x) -> list:
         return self._members(self._down[self.index[x]])
-
-    def maximal_elements(self) -> list:
-        return [x for i, x in enumerate(self.labels) if self._up[i] == 1 << i]
 
     def covers(self) -> list[tuple]:
         """All cover pairs (x, y) with x covered by y."""
@@ -357,30 +348,42 @@ def is_building_set(p: RankedPoset, members, geometric: bool = False) -> bool:
     return True
 
 
+def _walk(items, step, state, chosen=()):
+    """``(chosen, state)`` for () and each subset of ``items``, in list order,
+    that ``step(chosen, state, item)`` grows into a state other than None;
+    if the sets it accepts are closed under subsets, these are all of them."""
+    yield chosen, state
+    for k, item in enumerate(items):
+        grown = step(chosen, state, item)
+        if grown is not None:
+            yield from _walk(items[k + 1:], step, grown, chosen + (item,))
+
+
+def _antichains(p: RankedPoset, items, bound: int, most=None):
+    """Walk the antichains of the indices ``items`` with an upper bound in
+    the mask ``bound`` and, given ``most``, lower intervals whose sizes
+    multiply to at most it; a state is (comparables, those bounds, product)."""
+    def step(chosen, state, i):
+        near, mask, product = state
+        mask, product = mask & p._up[i], product * p._down[i].bit_count()
+        if near >> i & 1 or not mask or (most and product > most):
+            return None
+        return near | p._up[i] | p._down[i], mask, product
+
+    return _walk(items, step, (0, bound, 1))
+
+
 def minimal_building_set(p: RankedPoset) -> set:
-    """Elements whose lower interval admits no proper product decomposition."""
-    out = set()
-    for x in p.labels:
-        if x == p.zero:
-            continue
-        proper = [y for y in p.downset(x) if y != p.zero and y != x]
-        decomposable = False
-        for k in range(2, len(proper) + 1):
-            for combo in itertools.combinations(proper, k):
-                if any(p.lt(a, b) or p.lt(b, a)
-                       for a, b in itertools.combinations(combo, 2)):
-                    continue
-                size = 1
-                for c in combo:
-                    size *= len(p.downset(c))
-                if size != len(p.downset(x)):
-                    continue
-                if _interval_product_iso(p, combo, x):
-                    decomposable = True
-                    break
-            if decomposable:
-                break
-        if not decomposable:
+    """Elements whose lower interval admits no proper product decomposition;
+    a factor antichain in (0, x) is cut once its size product passes |[0, x]|."""
+    out, z = set(), p.index[p.zero]
+    for xi, x in enumerate(p.labels):
+        size = p._down[xi].bit_count()
+        inside = [i for i in range(p.n) if p._down[xi] >> i & 1 and i not in (xi, z)]
+        if xi != z and not any(
+                len(c) > 1 and product == size
+                and _interval_product_iso(p, [p.labels[i] for i in c], x)
+                for c, (_, _, product) in _antichains(p, inside, p._down[xi], size)):
             out.add(x)
     return out
 
@@ -403,46 +406,27 @@ def select_building(p: RankedPoset, selector) -> set:
     return members
 
 
+def _multi_joins(p: RankedPoset, members) -> set:
+    """The elements of every join of members with two or more elements."""
+    out, items = set(), [p.index[g] for g in members]
+    for _, (_, mask, _) in _antichains(p, items, (1 << p.n) - 1):
+        if len(join := p._minimal(mask)) > 1:
+            out.update(join)
+    return out
+
+
 def is_well_connected(p: RankedPoset, members) -> bool:
     """Multi-element joins of members must stay inside the set."""
-    members = list(members)
-    mset = set(members)
-    for k in range(2, len(members) + 1):
-        for combo in itertools.combinations(members, k):
-            if any(p.lt(a, b) or p.lt(b, a)
-                   for a, b in itertools.combinations(combo, 2)):
-                continue  # joins of non-antichains reduce to antichain joins
-            join = p.join_set(combo)
-            if len(join) >= 2 and not set(join) <= mset:
-                return False
-    return True
+    return _multi_joins(p, members) <= set(members)
 
 
 def minimal_well_connected(p: RankedPoset, members) -> set:
-    """Closure of ``members`` under multi-valued joins.
-
-    Iterates until stable; the result is checked to be a well-connected
-    building set.
-    """
+    """Closure of ``members`` under multi-valued joins (a building set, checked)."""
     current = set(members)
-    while True:
-        added = set()
-        elems = sorted(current, key=_label_sort_key)
-        for k in range(2, len(elems) + 1):
-            for combo in itertools.combinations(elems, k):
-                if any(p.lt(a, b) or p.lt(b, a)
-                       for a, b in itertools.combinations(combo, 2)):
-                    continue
-                join = p.join_set(combo)
-                if len(join) >= 2:
-                    added |= set(join) - current
-        if not added:
-            break
+    while added := _multi_joins(p, current) - current:
         current |= added
     if not is_building_set(p, current):
         raise ValueError("well-connected closure is not a building set")
-    if not is_well_connected(p, current):
-        raise ValueError("closure failed to become well-connected")
     return current
 
 
@@ -462,31 +446,48 @@ class NestedSet:
     def __len__(self):
         return len(self.members)
 
-
-def _is_nested(p: RankedPoset, members_set, s, x) -> bool:
-    s = list(s)
-    for k in range(2, len(s) + 1):
-        for combo in itertools.combinations(s, k):
-            if any(p.lt(a, b) or p.lt(b, a)
-                   for a, b in itertools.combinations(combo, 2)):
-                continue
-            j = p.join_in_interval(combo, x)
-            if j is None or j in members_set:
-                return False
-    return True
+    def gaps(self, p: RankedPoset) -> dict:
+        """Member g -> rank of g minus that of the join, in [0, g], of the
+        members below g: an admissible value on g stays below it."""
+        gaps = {}
+        for g in self.members:
+            m = p.join_in_interval([h for h in self.members if p.lt(h, g)], g)
+            if m is None:
+                raise AssertionError("join of smaller members missing below a member")
+            gaps[g] = p.rank(g) - p.rank(m)
+        return gaps
 
 
 def nested_sets(p: RankedPoset, building: BuildingSet) -> list[NestedSet]:
-    """All nonempty nested pairs (S, x), canonically ordered."""
+    """All nonempty nested pairs (S, x), canonically ordered.
+
+    (S, x) is nested when x is a minimal upper bound of S and each
+    antichain of two or more members of S joins in the lattice [0, x]
+    outside the building set.  On a local lattice the nested sets form a
+    simplicial complex (Feichtner-Kozlov 2004; Feichtner-Yuzvinsky 2004):
+    with (S, x), each nonempty T in S is nested at its join in [0, x].  So
+    S grows in building order, a prefix nested at no x is cut without loss,
+    and a new member g is tested only on the antichains through it: the
+    others passed at the prefix's join in [0, x], below which they join.
+    """
+
+    def step(chosen, state, g):
+        bound, xs = state  # upper bounds of chosen; the x it is nested at
+        prefix = [p.labels[h] for h in chosen]
+        others = [h for h in chosen if not (p._up[g] | p._down[g]) >> h & 1]
+        grown = set()
+        for x in p._minimal(bound & p._up[g]):
+            through_g = _antichains(p, others, p._up[g] & p._down[p.index[x]])
+            joins = (p._minimal(mask) for c, (_, mask, _) in through_g if c)
+            if p.join_in_interval(prefix, x) in xs and all(
+                    len(j) == 1 and j[0] not in building.members for j in joins):
+                grown.add(x)
+        return (bound & p._up[g], grown) if grown else None
+
     member_pos = {g: i for i, g in enumerate(building.order)}
-    out = []
-    members = list(building.order)
-    for k in range(1, len(members) + 1):
-        for s in itertools.combinations(members, k):
-            sset = frozenset(s)
-            for x in p.join_set(s):
-                if _is_nested(p, building.members, s, x):
-                    out.append(NestedSet(sset, x))
+    out = [NestedSet(frozenset(p.labels[i] for i in s), x)
+           for s, (_, xs) in _walk([p.index[g] for g in building.order], step,
+                                   ((1 << p.n) - 1, {p.zero})) if s for x in xs]
     out.sort(key=lambda ns: (len(ns.members), ns.key(member_pos)[0],
                              _label_sort_key(ns.x)))
     return out

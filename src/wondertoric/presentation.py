@@ -58,17 +58,10 @@ def _admissibility_class(poset, bl: BlowupPoset, label) -> int:
     members (its cover relation already leads with it, so it ranks last
     and lets products lead elsewhere).
     """
-    members = bl.nested(label).members
-    maximal = {g for g in members
-               if not any(poset.lt(g, h) for h in members)}
-    failing = set()
-    for g in members:
-        below = [h for h in members if poset.lt(h, g)]
-        m = poset.join_in_interval(below, g)
-        if m is None:
-            raise AssertionError("nested-set members must join below each member")
-        if 1 >= poset.rank(g) - poset.rank(m):
-            failing.add(g)
+    ns = bl.nested(label)
+    maximal = {g for g in ns.members
+               if not any(poset.lt(g, h) for h in ns.members)}
+    failing = {g for g, gap in ns.gaps(poset).items() if gap <= 1}
     if failing - maximal:
         return 0
     if failing:

@@ -113,15 +113,19 @@ def test_criterion_02_building_sets(running, named):
 
 
 def test_criterion_03_anc_family():
-    budget = Budget(3, "A(n,c) minimal and well-connected sizes", 10.0)
+    budget = Budget(3, "A(n,c) building-set sizes and nested-set counts", 10.0)
     # the closed form ((c+1)^n - 1)/c counts the maximal building set
-    for (n, c), expected_wc in [((2, 2), 4), ((2, 3), 5), ((3, 2), 13)]:
+    for (n, c), expected_wc, expected_nested in [
+            ((2, 2), 4, 8), ((2, 3), 5, 11), ((3, 2), 13, 73),
+            ((3, 3), 21, 147), ((4, 2), 40, 848)]:
         poset = poset_of_layers(a_n_c(n, c))
         minimal = minimal_building_set(poset)
         assert len(minimal) == n, (n, c)
         closure = minimal_well_connected(poset, minimal)
         assert len(closure) == ((c + 1) ** n - 1) // c == expected_wc, (n, c)
         assert closure == set(poset.labels) - {poset.zero}
+        building = make_building_set(poset, closure)
+        assert len(nested_sets(poset, building)) == expected_nested, (n, c)
     budget.done()
 
 

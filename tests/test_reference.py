@@ -7,13 +7,17 @@ product at a time and lists every order pair by label; the blowup builds
 its order as a list of label pairs.  The library's versions work on
 cached hashes, integer indices and bitmasks, and must give the same
 labels, in the same order, with the same ranks and the same order.
+
+The building-set and nested-set oracles enumerate every subset and then
+filter it; the library grows sets depth-first and cuts a branch as soon
+as it fails, and must give the same sets, nested sets in the same order.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wondertoric import arrangement
@@ -23,12 +27,19 @@ from wondertoric.fixtures import a_n_c, fig5_poset, running_poset
 from wondertoric.intlinalg import Sublattice, hnf, is_saturated, snf
 from wondertoric.poset import (
     _BLOWN,
+    NestedSet,
     RankedPoset,
+    _interval_product_iso,
+    _label_sort_key,
     blowup_at,
+    is_building_set,
+    is_well_connected,
     iterated_blowup,
     linear_refinements,
     make_building_set,
     minimal_building_set,
+    minimal_well_connected,
+    nested_sets,
 )
 
 # -- reference oracles -----------------------------------------------------
@@ -116,6 +127,96 @@ def ref_blowup_at(p, center):
     proj = {x: x for x in keep}
     proj.update((t, t[3]) for t in new)
     return RankedPoset(keep + new, ranks, pairs), proj
+
+
+def is_antichain(p, combo):
+    return not any(p.lt(a, b) or p.lt(b, a)
+                   for a, b in itertools.combinations(combo, 2))
+
+
+def ref_minimal_building_set(p):
+    out = set()
+    for x in p.labels:
+        if x == p.zero:
+            continue
+        proper = [y for y in p.downset(x) if y != p.zero and y != x]
+        decomposable = False
+        for k in range(2, len(proper) + 1):
+            for combo in itertools.combinations(proper, k):
+                if not is_antichain(p, combo):
+                    continue
+                size = 1
+                for c in combo:
+                    size *= len(p.downset(c))
+                if size != len(p.downset(x)):
+                    continue
+                if _interval_product_iso(p, combo, x):
+                    decomposable = True
+                    break
+            if decomposable:
+                break
+        if not decomposable:
+            out.add(x)
+    return out
+
+
+def ref_is_well_connected(p, members):
+    members = list(members)
+    mset = set(members)
+    for k in range(2, len(members) + 1):
+        for combo in itertools.combinations(members, k):
+            if not is_antichain(p, combo):
+                continue  # joins of non-antichains reduce to antichain joins
+            join = p.join_set(combo)
+            if len(join) >= 2 and not set(join) <= mset:
+                return False
+    return True
+
+
+def ref_minimal_well_connected(p, members):
+    current = set(members)
+    while True:
+        added = set()
+        elems = sorted(current, key=_label_sort_key)
+        for k in range(2, len(elems) + 1):
+            for combo in itertools.combinations(elems, k):
+                if not is_antichain(p, combo):
+                    continue
+                join = p.join_set(combo)
+                if len(join) >= 2:
+                    added |= set(join) - current
+        if not added:
+            break
+        current |= added
+    assert is_building_set(p, current)
+    return current
+
+
+def ref_is_nested(p, members_set, s, x):
+    s = list(s)
+    for k in range(2, len(s) + 1):
+        for combo in itertools.combinations(s, k):
+            if not is_antichain(p, combo):
+                continue
+            j = p.join_in_interval(combo, x)
+            if j is None or j in members_set:
+                return False
+    return True
+
+
+def ref_nested_sets(p, building):
+    member_pos = {g: i for i, g in enumerate(building.order)}
+    out = []
+    members = list(building.order)
+    for k in range(1, len(members) + 1):
+        for s in itertools.combinations(members, k):
+            sset = frozenset(s)
+            for x in p.join_set(s):
+                if ref_is_nested(p, building.members, s, x):
+                    out.append(NestedSet(sset, x))
+    out.sort(key=lambda ns: (len(ns.members), ns.key(member_pos)[0],
+                             _label_sort_key(ns.x)))
+    return out
 
 
 # -- comparisons -------------------------------------------------------------
@@ -206,6 +307,69 @@ def test_poset_of_layers_matches_reference_random(arr):
     p = poset_of_layers(arr)
     assert_same_poset(p, ref_poset_of_layers(arr))
     assert_blowups_agree(p)
+
+
+def assert_building_and_nested_sets_agree(p):
+    minimal = minimal_building_set(p)
+    assert minimal == ref_minimal_building_set(p)
+    assert is_well_connected(p, minimal) == ref_is_well_connected(p, minimal)
+    closure = minimal_well_connected(p, minimal)
+    assert closure == ref_minimal_well_connected(p, minimal)
+    everything = set(p.labels) - {p.zero}
+    # the oracle's closure stops only once it is well-connected, and every
+    # join lies in the maximal building set: the oracle says True on both
+    assert is_well_connected(p, closure) and is_well_connected(p, everything)
+    # min, minwc and max, each once: the closure is often all of max
+    for members in dict.fromkeys(map(frozenset, (minimal, closure, everything))):
+        building = make_building_set(p, members)
+        assert nested_sets(p, building) == ref_nested_sets(p, building)
+
+
+ANC_POSETS = {f"A({n},{c})": (lambda n=n, c=c: poset_of_layers(a_n_c(n, c)))
+              for n, c in [(1, 3), (2, 3), (2, 5), (2, 8)]}
+
+
+@pytest.mark.parametrize("name", [*BASE_POSETS, *ANC_POSETS])
+def test_building_and_nested_sets_match_reference(name):
+    assert_building_and_nested_sets_agree({**BASE_POSETS, **ANC_POSETS}[name]())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(torsion_arrangements())
+def test_building_and_nested_sets_match_reference_random(arr):
+    p = poset_of_layers(arr)
+    assume(len(p) - 1 <= 16)  # the oracles enumerate every subset of the members
+    assert_building_and_nested_sets_agree(p)
+
+
+@pytest.mark.parametrize("name", BASE_POSETS)
+def test_nested_sets_match_reference_between_min_and_max(name):
+    """Building sets with up to two elements beyond the minimal one: there
+    a prefix can be nested at one join of its members and not at another."""
+    p = BASE_POSETS[name]()
+    minimal = minimal_building_set(p)
+    rest = [x for x in p.labels if x != p.zero and x not in minimal]
+    for k in range(3):
+        for extra in itertools.combinations(rest, k):
+            if is_building_set(p, minimal | set(extra)):
+                building = make_building_set(p, minimal | set(extra))
+                assert nested_sets(p, building) == ref_nested_sets(p, building)
+
+
+@pytest.mark.parametrize("name, selector", [
+    *((name, sel) for name in BASE_POSETS for sel in ("min", "max")),
+    ("A(3,3)", "max")])
+def test_nested_sets_closed_under_subsets(name, selector):
+    """The fact the pruned search rests on: with (S, x) nested, each
+    nonempty T in S is nested at its join in [0, x]."""
+    p = poset_of_layers(a_n_c(3, 3)) if name == "A(3,3)" else BASE_POSETS[name]()
+    members = minimal_building_set(p) if selector == "min" else set(p.labels) - {p.zero}
+    for ns in nested_sets(p, make_building_set(p, members)):
+        for k in range(1, len(ns.members)):
+            for t in itertools.combinations(ns.members, k):
+                y = p.join_in_interval(t, ns.x)
+                assert y in p.join_set(t) and ref_is_nested(p, members, t, y), (ns, t)
 
 
 def test_each_unordered_pair_intersected_once(monkeypatch):
