@@ -146,7 +146,7 @@ def enumerate_b(pres) -> list[tuple[Monomial, int]]:
             for b in std:
                 out.append((pres.table.mono_mul(base, b), item.degree + d))
             d += 1
-    out.sort(key=lambda t: (t[1], pres.table.mono_key(t[0])))
+    out.sort(key=lambda t: (t[1], t[0]))
     return out
 
 
@@ -244,25 +244,23 @@ def flag_decomposition(pres, mono: Monomial) -> Polynomial:
     """
     table = pres.table
     blp = pres.bl.poset
-    t_positions = [i for i, k in enumerate(table.keys) if k[0] == "t"]
     result = Polynomial({})
     stack = [(1, mono)]
     while stack:
         coeff, m = stack.pop()
         pair = None
-        present = [i for i in t_positions if m[i]]
-        for i, j in itertools.combinations(present, 2):
-            a, b = table.keys[i][1], table.keys[j][1]
+        present = [table.keys[p][1] for p, _ in table.support(m)
+                   if table.keys[p][0] == "t"]
+        for a, b in itertools.combinations(present, 2):
             if not blp.leq(a, b) and not blp.leq(b, a):
-                pair = (i, j, a, b)
+                pair = (a, b)
                 break
         if pair is None:
             result = result + table.term(coeff, m)
             continue
-        i, j, a, b = pair
-        base = list(m)
-        base[i] -= 1
-        base[j] -= 1
+        a, b = pair
+        base = table.mono_div(m, table.mono_mul(table.variable(("t", a)),
+                                                table.variable(("t", b))))
         joins = blp.joins(a, b)
         if not joins:
             continue
@@ -270,9 +268,7 @@ def flag_decomposition(pres, mono: Monomial) -> Polynomial:
         assert len(meets) == 1
         meet = meets[0]
         if meet != blp.zero:
-            base[table.position[("t", meet)]] += 1
+            base = table.mono_mul(base, table.variable(("t", meet)))
         for c in joins:
-            nxt = list(base)
-            nxt[table.position[("t", c)]] += 1
-            stack.append((coeff, tuple(nxt)))
+            stack.append((coeff, table.mono_mul(base, table.variable(("t", c)))))
     return result

@@ -1,23 +1,37 @@
 """Graded integer polynomials, strong Groebner bases over Z, rank oracles.
 
-Monomials are dense exponent tuples over a fixed variable table; the
-order is degree-first (with per-variable weights) and reverse
-lexicographic on ties, against a variable ranking that lists the largest
-variable first.  Coefficients are arbitrary-precision integers.
+A monomial is one int, packed by its ``VariableTable``, the only code
+that knows the layout (Monagan and Pearce, "Sparse polynomial division
+using a heap", 2011; "POLY: a new polynomial data structure for Maple
+17", 2012).  With n variables at positions p from the largest to the
+smallest, fields W bits wide and B = 2^W,
+
+    K(m) = deg(m) * B^n - sum_p m[p] * B^p,    deg the weighted degree.
+
+The low n fields of -K hold the exponents; the top bit of each field is a
+guard bit, left clear.  So K(a*b) = K(a) + K(b); ascending K is the
+monomial order, degree first and reverse lexicographic on ties; a | b
+exactly when K(a) - K(b) sets no guard bit, as the lowest field of the
+exponent difference to go negative sets its own; and the guard bits of
+-K + (2^(W-1) - 1) mark the variables of the monomial.  A degree of at
+most ``max_degree`` = 2^(W-1) - 1 bounds every exponent, so the table
+refuses a monomial above it rather than let a field spill into the next;
+the package's degree-capped runs stay far below it.
 
 The Groebner machinery is the strong (Z-coefficient) variant: reduction
 divides coefficients with remainder, and completion closes under both
-S-polynomials and GCD-polynomials.  All ideal generators the package
-feeds in are homogeneous, which makes degree-truncated runs sound.
+S-polynomials and GCD-polynomials, with arbitrary-precision integer
+coefficients.  All ideal generators the package feeds in are
+homogeneous, which makes degree-truncated runs sound.
 
-``GroebnerBasis.reduce`` keeps the terms still to reduce on a heap keyed
-by ``(-degree, reversed exponents)``, which pops them in the monomial
-order, largest first.  Reducers come from a divisibility index: one
-bitset per variable marks the elements whose leading monomial uses it,
-so the elements whose lead support lies inside a term's support are
-found by masking, memoised per support inside the basis.  They are tried
-in the order they were added, so the reducer chosen, and every normal
-form and certificate, is the one a linear scan of the leads would give.
+``GroebnerBasis.reduce`` keeps the terms still to reduce in a dict and on
+a heap, both keyed by the bare int -K, so they pop in the monomial order,
+largest first.  Reducers come from a divisibility index: one bitset per
+variable marks the elements whose leading monomial uses it, so the
+elements whose lead support lies inside a term's support are found by
+masking, memoised per support inside the basis.  They are tried in the
+order they were added, so the reducer chosen, and every normal form and
+certificate, is the one a linear scan of the leads would give.
 
 ``PairSweep`` is the one pair generator behind ``buchberger`` and
 ``is_groebner``.  It skips pairs whose lcm degree (from the cached lead
@@ -40,22 +54,25 @@ is left to a dense Smith normal form.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd
-from operator import add, le, mul, neg, sub
 from typing import NamedTuple
 
 from .intlinalg import snf
 
-Monomial = tuple
+Monomial = int
+
+# bits per exponent field, its top bit the guard
+FIELD_BITS = 16
 
 
 class VariableTable:
-    """Fixed variable universe: names, weights and the monomial order.
+    """Fixed variable universe: names, weights and the monomial encoding.
 
     Positions run from the largest variable to the smallest; weights are
-    positive integers (blowup variables weigh their nested-set size,
-    toric variables weigh one).
+    positive (blowup variables weigh their nested-set size, toric ones
+    one).  Monomials are the packed ints of the module docstring, which
+    compare (``<``) in the monomial order; ``encode`` and ``exponents``
+    convert from and to exponent tuples.
     """
 
     def __init__(self, keys, weights, names, kinds):
@@ -69,72 +86,114 @@ class VariableTable:
         self.position = {k: i for i, k in enumerate(self.keys)}
         if len(self.position) != self.n:
             raise ValueError("duplicate variable keys")
-        self._one = (0,) * self.n
-        self._bits = tuple(1 << i for i in range(self.n))
+        w = FIELD_BITS
+        self.max_degree = (1 << w - 1) - 1
+        self._shift = w * self.n
+        self._low = (1 << self._shift) - 1
+        self._guards = tuple(1 << w * p + w - 1 for p in range(self.n))
+        self._guard = sum(self._guards)
+        self._fill = (self._guard >> w - 1) * self.max_degree
+        self._kmax = self.max_degree << self._shift
+        self._vars = tuple((wt << self._shift) - (1 << w * p)
+                           for p, wt in enumerate(self.weights))
         self._mono_cache: dict = {}
 
     # -- monomials -----------------------------------------------------
 
+    def encode(self, exps) -> Monomial:
+        """The monomial with exponent ``exps[p]`` at each position p."""
+        exps = tuple(exps)
+        if len(exps) != self.n or min(exps, default=0) < 0:
+            raise ValueError(f"not {self.n} nonnegative exponents: {exps}")
+        return self._checked(sum(e * v for e, v in zip(exps, self._vars)))
+
+    def exponents(self, m: Monomial) -> tuple[int, ...]:
+        """The exponent tuple of ``m``; ``encode`` inverts it."""
+        out = [0] * self.n
+        for p, e in self.support(m):
+            out[p] = e
+        return tuple(out)
+
+    def support(self, m: Monomial) -> list[tuple[int, int]]:
+        """``(position, exponent)`` of each variable of ``m``, ascending."""
+        e = -m & self._low
+        field = self.max_degree
+        out = []
+        p = 0
+        while e:
+            if e & field:
+                out.append((p, e & field))
+            e >>= FIELD_BITS
+            p += 1
+        return out
+
+    def _checked(self, m: Monomial) -> Monomial:
+        if not 0 <= m <= self._kmax:
+            raise ValueError(f"monomial degree not in 0..{self.max_degree}, "
+                             "what an exponent field holds")
+        return m
+
     def one(self) -> Monomial:
-        return self._one
+        return 0
 
     def variable(self, key, exp: int = 1) -> Monomial:
-        i = self.position[key]
-        return self._one[:i] + (exp,) + self._one[i + 1:]
+        return self._checked(exp * self._vars[self.position[key]])
 
     def mono_degree(self, m: Monomial) -> int:
-        return sum(map(mul, m, self.weights))
+        return -(-m >> self._shift)
 
     def mono_mul(self, a: Monomial, b: Monomial) -> Monomial:
-        return tuple(map(add, a, b))
+        return self._checked(a + b)
 
     def mono_divides(self, a: Monomial, b: Monomial) -> bool:
-        return all(map(le, a, b))
+        # a field of E(b) - E(a) that goes negative sets its guard bit
+        return not (a - b) & self._guard
 
     def mono_div(self, a: Monomial, b: Monomial) -> Monomial:
-        return tuple(map(sub, a, b))
+        """``a / b``; b must divide a."""
+        return a - b
 
     def mono_lcm(self, a: Monomial, b: Monomial) -> Monomial:
-        return tuple(map(max, a, b))
+        low, guard = self._low, self._guard
+        ea, eb = -a & low, -b & low
+        # per field: all low bits set where a's exponent is the larger
+        ge = (ea + guard - eb) & guard
+        ge -= ge >> FIELD_BITS - 1
+        e = ea & ge | eb & ~ge
+        # -e is the packed lcm with a zero degree part
+        deg = sum(self.weights[p] * x for p, x in self.support(-e))
+        return self._checked((deg << self._shift) - e)
 
     def mono_mask(self, m: Monomial) -> int:
-        return sum(compress(self._bits, m))
-
-    def mono_key(self, m: Monomial):
-        """Sort key: ascending under the monomial order."""
-        return (self.mono_degree(m), tuple(map(neg, reversed(m))))
+        """Support mask: the guard bit of each variable of ``m``."""
+        return (self._fill - m) & self._guard
 
     def mono_name(self, m: Monomial) -> str:
-        parts = []
-        for i, e in enumerate(m):
-            if not e:
-                continue
-            parts.append(self.names[i] if e == 1 else f"{self.names[i]}^{e}")
+        parts = [self.names[p] if e == 1 else f"{self.names[p]}^{e}"
+                 for p, e in self.support(m)]
         return "*".join(parts) if parts else "1"
 
     def monomials_of_degree(self, d: int, positions=None) -> list[Monomial]:
+        """The degree-d monomials over ``positions`` (default all), largest first."""
         pos = tuple(positions) if positions is not None else tuple(range(self.n))
         cached = self._mono_cache.get((d, pos))
         if cached is not None:
             return cached
+        self._checked(max(d, 0) << self._shift)
         out: list[Monomial] = []
-        expo = [0] * self.n
 
-        def rec(i: int, rem: int):
+        def rec(i: int, rem: int, m: Monomial):
             if rem == 0:
-                out.append(tuple(expo))
+                out.append(m)
                 return
             if i == len(pos):
                 return
             p = pos[i]
-            w = self.weights[p]
-            for e in range(rem // w, -1, -1):
-                expo[p] = e
-                rec(i + 1, rem - e * w)
-            expo[p] = 0
+            for e in range(rem // self.weights[p], -1, -1):
+                rec(i + 1, rem - e * self.weights[p], m + e * self._vars[p])
 
-        rec(0, d)
-        out.sort(key=self.mono_key, reverse=True)
+        rec(0, d, 0)
+        out.sort(reverse=True)
         self._mono_cache[(d, pos)] = out
         return out
 
@@ -147,28 +206,23 @@ class VariableTable:
         return Polynomial({mono: coeff}) if coeff else Polynomial({})
 
     def const(self, coeff: int) -> "Polynomial":
-        return self.term(coeff, self._one)
+        return self.term(coeff, 0)
 
     def leading(self, f: "Polynomial") -> tuple[Monomial, int]:
-        m = max(f.terms, key=self.mono_key)
+        m = max(f.terms)
         return m, f.terms[m]
 
     def degree(self, f: "Polynomial") -> int:
-        return max(self.mono_degree(m) for m in f.terms)
+        return self.mono_degree(max(f.terms))
 
     def is_homogeneous(self, f: "Polynomial") -> bool:
-        degs = {self.mono_degree(m) for m in f.terms}
-        return len(degs) <= 1
-
-    def sorted_terms(self, f: "Polynomial") -> list[tuple[Monomial, int]]:
-        return sorted(f.terms.items(), key=lambda t: self.mono_key(t[0]),
-                      reverse=True)
+        return len({self.mono_degree(m) for m in f.terms}) <= 1
 
     def poly_name(self, f: "Polynomial") -> str:
         if not f.terms:
             return "0"
         bits = []
-        for m, c in self.sorted_terms(f):
+        for m, c in sorted(f.terms.items(), reverse=True):
             s = self.mono_name(m)
             if s == "1":
                 bits.append(f"{'+' if c > 0 else '-'}{abs(c)}")
@@ -181,7 +235,8 @@ class VariableTable:
 
 
 class Polynomial:
-    """Sparse integer polynomial: monomial -> nonzero coefficient."""
+    """Sparse integer polynomial: monomial -> nonzero coefficient.  Products
+    skip the table's degree check; callers stay within ``max_degree``."""
 
     __slots__ = ("terms",)
 
@@ -224,7 +279,7 @@ class Polynomial:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
+                m = m1 + m2
                 v = out.get(m, 0) + c1 * c2
                 if v:
                     out[m] = v
@@ -235,8 +290,7 @@ class Polynomial:
     def mul_term(self, coeff: int, mono: Monomial) -> "Polynomial":
         if coeff == 0:
             return Polynomial({})
-        return Polynomial({tuple(map(add, m, mono)): coeff * c
-                           for m, c in self.terms.items()})
+        return Polynomial({m + mono: coeff * c for m, c in self.terms.items()})
 
     def __repr__(self):
         return f"Polynomial({len(self.terms)} terms)"
@@ -262,15 +316,12 @@ class GroebnerBasis:
         self.elements: list[Polynomial] = []
         self._lm: list[Monomial] = []
         self._lc: list[int] = []
+        # support mask, degree and (position, exponent) pairs of each lead
         self._mask: list[int] = []
         self._deg: list[int] = []
-        # (position, exponent) over the lead's support, and the part of it
-        # with exponent above one: a lead whose support lies in a term's
-        # support divides the term unless one of these exceeds the term's
-        self._support: list[tuple[tuple[int, int], ...]] = []
-        self._powers: list[tuple[tuple[int, int], ...]] = []
-        # (monomial, coefficient, degree, support mask) of each non-lead term
-        self._tails: list[list[tuple[Monomial, int, int, int]]] = []
+        self._support: list[list[tuple[int, int]]] = []
+        # (negated monomial, coefficient) of each non-lead term
+        self._tails: list[list[tuple[int, int]]] = []
         # divisibility index: bit i of _var_bits[p] is set when the lead of
         # element i uses variable p; _candidates memoises, per term support
         # mask, the elements whose lead support lies inside it, ascending
@@ -292,25 +343,19 @@ class GroebnerBasis:
         lm, lc = table.leading(f)
         k = len(self.elements)
         mask = table.mono_mask(lm)
-        support = tuple((p, e) for p, e in enumerate(lm) if e)
+        support = table.support(lm)
         self.elements.append(f)
         self._lm.append(lm)
         self._lc.append(lc)
         self._mask.append(mask)
         self._deg.append(table.mono_degree(lm))
         self._support.append(support)
-        self._powers.append(tuple((p, e) for p, e in support if e > 1))
-        self._tails.append(self._tail_data(f, lm))
+        self._tails.append([(-m, c) for m, c in f.terms.items() if m != lm])
         for p, _ in support:
             self._var_bits[p] |= 1 << k
         for term_mask, found in self._candidates.items():
             if not mask & ~term_mask:
                 found.append(k)
-
-    def _tail_data(self, f: Polynomial, lm: Monomial) -> list:
-        table = self.table
-        return [(m, c, table.mono_degree(m), table.mono_mask(m))
-                for m, c in f.terms.items() if m != lm]
 
     def __len__(self):
         return len(self.elements)
@@ -321,10 +366,11 @@ class GroebnerBasis:
 
     def _candidates_for(self, term_mask: int) -> list[int]:
         """Elements whose lead support lies in ``term_mask``, ascending."""
-        bits = (1 << len(self.elements)) - 1
-        for p, users in enumerate(self._var_bits):
-            if users and not term_mask >> p & 1:
-                bits &= ~users
+        absent = 0
+        for guard, users in zip(self.table._guards, self._var_bits):
+            if not term_mask & guard:
+                absent |= users
+        bits = ((1 << len(self.elements)) - 1) ^ absent
         found = []
         while bits:
             low = bits & -bits
@@ -336,68 +382,54 @@ class GroebnerBasis:
     def reduce(self, f: Polynomial, certificate: bool = False):
         """Normal form: no remaining term is reducible by the basis.
 
-        The terms still to reduce sit in ``work``; the reduction front is a
-        heap of ``_front_entry`` tuples, so the largest term comes off first.
+        The dict ``work`` and the heap ``front`` hold the terms still to
+        reduce, keyed by -K, so the largest comes off first.  lead_i divides
+        m when K(lead_i) - K(m) sets no guard bit; it is then -K(m / lead_i).
         """
-        table = self.table
-        lcs, powers, tails, memo = self._lc, self._powers, self._tails, self._candidates
-        work = dict(f.terms)
-        front = [_front_entry(table.mono_degree(m), m, table.mono_mask(m))
-                 for m in work]
+        guard, fill = self.table._guard, self.table._fill
+        lms, lcs, tails, memo = self._lm, self._lc, self._tails, self._candidates
+        work = {-m: c for m, c in f.terms.items()}
+        front = list(work)
         heapify(front)
         out: dict = {}
         cert: dict[int, Polynomial] = {}
         while front:
-            neg_deg, _, m, mask = heappop(front)
-            c = work.pop(m, None)
+            neg = heappop(front)
+            c = work.pop(neg, None)
             if c is None:
                 continue
+            mask = (neg + fill) & guard
             candidates = memo.get(mask)
             if candidates is None:
                 candidates = self._candidates_for(mask)
             while True:
                 ac = abs(c)
                 for i in candidates:
-                    if lcs[i] <= ac:
-                        for p, e in powers[i]:
-                            if m[p] < e:
-                                break
-                        else:
-                            break
+                    if lcs[i] <= ac and not (lms[i] + neg) & guard:
+                        break
                 else:
-                    out[m] = c
+                    out[-neg] = c
                     break
                 q, c = divmod(c, lcs[i])
-                if tails[i]:
-                    self._subtract_tail(i, q, m, -neg_deg, mask, work, front)
+                shift = lms[i] + neg
+                # work -= q * (m / lead_i) * tail_i; new terms join the front
+                for mm, cc in tails[i]:
+                    key = mm + shift
+                    qc = q * cc
+                    old = work.get(key)
+                    if old is None:
+                        work[key] = -qc
+                        heappush(front, key)
+                    elif old == qc:
+                        del work[key]
+                    else:
+                        work[key] = old - qc
                 if certificate:
-                    shift = table.mono_div(m, self._lm[i])
-                    cert[i] = cert.get(i, Polynomial({})) + Polynomial({shift: q})
+                    cert[i] = cert.get(i, Polynomial({})) + Polynomial({-shift: q})
                 if c == 0:
                     break
         nf = Polynomial(out)
         return (nf, cert) if certificate else nf
-
-    def _subtract_tail(self, i: int, q: int, m: Monomial, deg: int, mask: int,
-                       work: dict, front: list):
-        """``work -= q * (m / lead_i) * tail_i``; new terms join the front."""
-        shift = tuple(map(sub, m, self._lm[i]))
-        shift_deg = deg - self._deg[i]
-        shift_mask = mask & ~self._mask[i]
-        for p, e in self._support[i]:
-            if m[p] > e:
-                shift_mask |= 1 << p
-        for mm, cc, dd, mmask in self._tails[i]:
-            key = tuple(map(add, mm, shift))
-            qc = q * cc
-            old = work.get(key)
-            if old is None:
-                work[key] = -qc
-                heappush(front, _front_entry(dd + shift_deg, key, mmask | shift_mask))
-            elif old == qc:
-                del work[key]
-            else:
-                work[key] = old - qc
 
     def minimalize(self) -> "GroebnerBasis":
         """Drop strongly redundant leads, tail-reduce, canonical sort.
@@ -422,29 +454,25 @@ class GroebnerBasis:
                 keep.append(i)
         basis = GroebnerBasis(self.table, [self.elements[i] for i in keep])
         for i, f in enumerate(basis.elements):
-            lead = Polynomial({basis._lm[i]: basis._lc[i]})
+            lm = basis._lm[i]
+            lead = Polynomial({lm: basis._lc[i]})
             g = lead + basis.reduce(f - lead)
             basis.elements[i] = g
-            basis._tails[i] = basis._tail_data(g, basis._lm[i])
-        key = self.table.mono_key
-        order = sorted(range(len(basis)), key=lambda i: key(basis._lm[i]))
+            basis._tails[i] = [(-m, c) for m, c in g.terms.items() if m != lm]
+        order = sorted(range(len(basis)), key=basis._lm.__getitem__)
         return GroebnerBasis(self.table, [basis.elements[i] for i in order])
 
     # -- escalier -------------------------------------------------------
 
     def _unit_lead_divides(self, m: Monomial, mask: int) -> bool:
         """Does the lead of an element with leading coefficient 1 divide m?"""
-        lcs, powers = self._lc, self._powers
+        lms, lcs, guard = self._lm, self._lc, self.table._guard
         candidates = self._candidates.get(mask)
         if candidates is None:
             candidates = self._candidates_for(mask)
         for i in candidates:
-            if lcs[i] == 1:
-                for p, e in powers[i]:
-                    if m[p] < e:
-                        break
-                else:
-                    return True
+            if lcs[i] == 1 and not (lms[i] - m) & guard:
+                return True
         return False
 
     def standard_monomials(self, d: int, positions=None) -> list[Monomial]:
@@ -460,36 +488,21 @@ class GroebnerBasis:
         if d < 0:
             return []
         table = self.table
-        weights = table.weights
+        table._checked(d << table._shift)
         pos = tuple(positions) if positions is not None else tuple(range(table.n))
-        one = table.one()
         # levels[k]: the standard monomials of degree k, with support masks
-        levels = [{} if self._unit_lead_divides(one, 0) else {one: 0}]
+        levels = [{} if self._unit_lead_divides(0, 0) else {0: 0}]
         for k in range(1, d + 1):
             level = {}
             for p in pos:
-                w = weights[p]
-                if w > k:
+                if table.weights[p] > k:
                     continue
-                bit = 1 << p
-                for m, mask in levels[k - w].items():
-                    level.setdefault(m[:p] + (m[p] + 1,) + m[p + 1:], mask | bit)
+                var, bit = table._vars[p], table._guards[p]
+                for m, mask in levels[k - table.weights[p]].items():
+                    level.setdefault(m + var, mask | bit)
             levels.append({m: mask for m, mask in level.items()
                            if not self._unit_lead_divides(m, mask)})
-        return sorted(levels[d], key=table.mono_key, reverse=True)
-
-    def hilbert(self, up_to: int, positions=None) -> list[int]:
-        return [len(self.standard_monomials(d, positions))
-                for d in range(up_to + 1)]
-
-
-def _front_entry(deg: int, m: Monomial, mask: int) -> tuple:
-    """Heap entry of a term on the reduction front.
-
-    ``(-deg, m[::-1])`` ascends as ``mono_key`` descends, so the heap pops
-    the largest monomial first; ``m`` and its support mask ride along.
-    """
-    return (-deg, m[::-1], m, mask)
+        return sorted(levels[d], reverse=True)
 
 
 def s_polynomial(table: VariableTable, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -573,7 +586,8 @@ class PairSweep:
         b = self.basis
         weights, cap = b.table.weights, self.degree_cap
         lcs, masks, degs, tails = b._lc, b._mask, b._deg, b._tails
-        lm_j, c_j, mask_j, deg_j = b._lm[j], lcs[j], masks[j], degs[j]
+        lm_j = b.table.exponents(b._lm[j])
+        c_j, mask_j, deg_j = lcs[j], masks[j], degs[j]
         out = []
         over = monomial = criterion = 0
         for i in range(j):
@@ -775,6 +789,6 @@ def graded_rank_oracle(table: VariableTable, gens, d: int,
         for m in table.monomials_of_degree(d - gd):
             row = {}
             for mm, cc in g.terms.items():
-                row[col_index[table.mono_mul(mm, m)]] = cc
+                row[col_index[mm + m]] = cc
             rows.append(row)
     return _sparse_quotient(rows, len(cols))

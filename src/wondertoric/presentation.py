@@ -135,26 +135,17 @@ def toric_relations(fan: Fan, table: VariableTable) -> list[Polynomial]:
         out.append(table.term(1, mono))
     if fan.lattice.rank == 0 or fan.nrays == 0:
         return out
-    coords = fan.ray_coords()
-    positions = sorted(
-        (table.position[("c", lab)] for lab in fan.ray_labels))
-    pos_to_ray = {table.position[("c", lab)]: i
-                  for i, lab in enumerate(fan.ray_labels)}
-    m = fan.lattice.rank
+    coords = dict(zip(fan.ray_labels, fan.ray_coords()))
     # columns ordered largest variable first makes HNF pivots the leads
-    matrix = [[coords[pos_to_ray[p]][j] for p in positions] for j in range(m)]
-    reduced, _ = hnf(matrix, cols=len(positions))
+    variables = sorted((("c", lab) for lab in fan.ray_labels),
+                       key=table.position.__getitem__)
+    matrix = [[coords[lab][j] for _, lab in variables]
+              for j in range(fan.lattice.rank)]
+    reduced, _ = hnf(matrix, cols=len(variables))
     for row in reduced:
-        if not any(row):
-            continue
-        terms = {}
-        for col, coeff in enumerate(row):
-            if coeff:
-                mono = table.one()
-                p = positions[col]
-                mono = mono[:p] + (1,) + mono[p + 1:]
-                terms[mono] = coeff
-        out.append(table.poly(terms))
+        if any(row):
+            out.append(table.poly({table.variable(v): coeff
+                                   for v, coeff in zip(variables, row)}))
     return out
 
 
@@ -543,9 +534,7 @@ def _substitute(src: VariableTable, dst: VariableTable, images: dict,
     out = Polynomial({})
     for m, c in f.terms.items():
         term = dst.const(c)
-        for pos, e in enumerate(m):
-            if not e:
-                continue
+        for pos, e in src.support(m):
             img = images[src.keys[pos]]
             for _ in range(e):
                 term = term * img

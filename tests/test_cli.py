@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +269,30 @@ def test_failed_alpha_names_the_witness(tmp_path, capsys, data_dir):
     code, _, err = run_cli(capsys, ["model-betti", *args])
     assert code == 1
     assert f"alpha failed the Groebner pair test: {witness}" in err
+
+
+
+# Reports pinned before monomials were packed into ints: every byte of the
+# --deterministic JSON, escalier and admissible basis order included, must
+# stay as it was.  Each file is named <fixture>-<selector>-<command>.json.
+GOLDEN = sorted(Path(__file__).with_name("data").glob("*.json"))
+
+
+@pytest.mark.parametrize("golden", GOLDEN, ids=lambda p: p.stem)
+def test_report_matches_golden(golden, capsys, data_dir):
+    fixture, selector, command = golden.stem.split("-", 2)
+    code, out, _ = run_cli(capsys, [
+        command, "--arrangement", fixture_path(data_dir, f"{fixture}.arr.json"),
+        "--fan", fixture_path(data_dir, f"{fixture}.fan.json"),
+        "--building", selector, "--deterministic"])
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_golden_reports_cover_both_fixtures():
+    assert {p.stem for p in GOLDEN} == {
+        f"{fixture}-{selector}-{command}"
+        for fixture, selectors in (("running", ("min", "minwc", "max")),
+                                   ("a22", ("min", "max")))
+        for selector in selectors
+        for command in ("model-betti", "admissible", "verify")}

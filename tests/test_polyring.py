@@ -1,3 +1,5 @@
+from operator import add, le, mul, sub
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from wondertoric.polyring import (
     PairSweep,
     Polynomial,
     VariableTable,
-    _front_entry,
     buchberger,
     gcd_polynomial,
     graded_rank_oracle,
@@ -28,12 +29,19 @@ def mono(t, **exps):
     m = [0] * t.n
     for k, e in exps.items():
         m[t.position[k]] = e
-    return tuple(m)
+    return t.encode(m)
+
+
+def tuple_key(t, exps):
+    """The monomial order on exponent tuples, ascending: weighted degree,
+    then reverse lexicographic (the smallest variable's exponent decides
+    first, and the larger exponent is the smaller monomial)."""
+    return (sum(map(mul, exps, t.weights)), tuple(-e for e in reversed(exps)))
 
 
 def test_compare_degree_dominates():
     t = table3()
-    assert t.mono_key(mono(t, x=2)) > t.mono_key(mono(t, y=1))
+    assert mono(t, x=2) > mono(t, y=1)
 
 
 def test_grevlex_degree_two_order():
@@ -47,7 +55,7 @@ def test_grevlex_degree_two_order():
 def test_grevlex_weighted():
     t = VariableTable(("u", "v"), (2, 1), ("u", "v"), ("t", "c"))
     assert t.mono_degree(mono(t, u=1, v=1)) == 3
-    assert t.mono_key(mono(t, u=1)) > t.mono_key(mono(t, v=1))
+    assert mono(t, u=1) > mono(t, v=1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -56,9 +64,8 @@ def test_grevlex_weighted():
        st.lists(st.integers(0, 3), min_size=3, max_size=3))
 def test_compare_multiplicative(e1, e2, e3):
     t = table3()
-    m1, m2, m = tuple(e1), tuple(e2), tuple(e3)
-    k1, k2 = t.mono_key(m1), t.mono_key(m2)
-    s1, s2 = t.mono_key(t.mono_mul(m, m1)), t.mono_key(t.mono_mul(m, m2))
+    k1, k2 = t.encode(e1), t.encode(e2)
+    s1, s2 = t.mono_mul(t.encode(e3), k1), t.mono_mul(t.encode(e3), k2)
     assert (s1 > s2, s1 == s2, s1 < s2) == (k1 > k2, k1 == k2, k1 < k2)
 
 
@@ -114,10 +121,10 @@ def test_is_groebner_detects_failure():
 def test_projective_line_escalier():
     # variables ranked c4 > c3: the linear form reduces c4, leaving {1, c3}
     t = VariableTable(("c4", "c3"), (1, 1), ("c4", "c3"), ("c", "c"))
-    nonface = t.poly({(1, 1): 1})
-    linear = t.poly({(0, 1): 1, (1, 0): -1})
+    nonface = t.poly({t.encode((1, 1)): 1})
+    linear = t.poly({t.encode((0, 1)): 1, t.encode((1, 0)): -1})
     gb = buchberger(t, [nonface, linear], degree_cap=3)
-    assert gb.hilbert(3) == [1, 1, 0, 0]
+    assert [len(gb.standard_monomials(d)) for d in range(4)] == [1, 1, 0, 0]
     names = [t.mono_name(m) for d in range(2) for m in gb.standard_monomials(d)]
     assert names == ["1", "c3"]
     assert not gb.torsion_suspect
@@ -144,7 +151,7 @@ def test_oracle_degree_zero():
 
 def test_oracle_detects_torsion():
     t = VariableTable(("x",), (1,), ("x",), ("c",))
-    rank, torsion = graded_rank_oracle(t, [t.term(2, (1,))], 1)
+    rank, torsion = graded_rank_oracle(t, [t.term(2, t.encode((1,)))], 1)
     assert (rank, torsion) == (0, (2,))
 
 
@@ -174,46 +181,53 @@ def test_homogeneity_guard():
 # -- reference oracles: the linear-scan reduction and the unpruned sweep ----
 
 
+def support_mask(exps):
+    return sum(1 << p for p, e in enumerate(exps) if e)
+
+
 def reference_reducer(basis):
-    """Reduction over ``basis.elements`` by a linear scan of the leads,
-    largest term first by ``max`` over the terms left; the first lead that
-    applies is used."""
+    """Reduction over ``basis.elements`` by a linear scan of the leads, on
+    exponent tuples: largest term first by ``max`` over the terms left
+    under ``tuple_key``; the first lead that divides it and whose
+    coefficient is at most its own is used."""
     table = basis.table
-    leads = [table.leading(g) for g in basis.elements]
-    masks = [table.mono_mask(lm) for lm, _ in leads]
+    decode = table.exponents
+    leads = [(decode(lm), lc) for lm, lc in map(table.leading, basis.elements)]
+    masks = [support_mask(lm) for lm, _ in leads]
+    tails = [[(decode(m), c) for m, c in g.terms.items() if decode(m) != lm]
+             for g, (lm, _) in zip(basis.elements, leads)]
 
     def reduce(f, certificate=False):
-        keys = {m: table.mono_key(m) for m in f.terms}
-        work = dict(f.terms)
+        work = {decode(m): c for m, c in f.terms.items()}
+        keys = {m: tuple_key(table, m) for m in work}
         out = {}
         cert = {}
         while work:
             m = max(work, key=keys.__getitem__)
             c = work.pop(m)
-            mask = table.mono_mask(m)
+            mask = support_mask(m)
             while True:
                 i = next((k for k, (lm, lc) in enumerate(leads)
                           if not masks[k] & ~mask and lc <= abs(c)
-                          and table.mono_divides(lm, m)), None)
+                          and all(map(le, lm, m))), None)
                 if i is None:
-                    out[m] = c
+                    out[table.encode(m)] = c
                     break
                 lm, lc = leads[i]
                 q, r = divmod(c, lc)
-                shift = table.mono_div(m, lm)
-                for mm, cc in basis.elements[i].terms.items():
-                    if mm == lm:
-                        continue
-                    key = table.mono_mul(mm, shift)
+                shift = tuple(map(sub, m, lm))
+                for mm, cc in tails[i]:
+                    key = tuple(map(add, mm, shift))
                     v = work.get(key, 0) - q * cc
                     if v:
                         work[key] = v
                         if key not in keys:
-                            keys[key] = table.mono_key(key)
+                            keys[key] = tuple_key(table, key)
                     else:
                         work.pop(key, None)
                 if certificate:
-                    cert[i] = cert.get(i, Polynomial({})) + Polynomial({shift: q})
+                    cert[i] = (cert.get(i, Polynomial({}))
+                               + Polynomial({table.encode(shift): q}))
                 c = r
                 if c == 0:
                     break
@@ -231,7 +245,7 @@ def reference_is_groebner(table, polys, degree_cap):
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
             (mi, ci), (mj, cj) = leads[i], leads[j]
-            if table.mono_degree(table.mono_lcm(mi, mj)) > degree_cap:
+            if sum(map(mul, map(max, mi, mj), table.weights)) > degree_cap:
                 continue
             if len(els[i].terms) > 1 or len(els[j].terms) > 1:
                 if reduce(s_polynomial(table, els[i], els[j])):
@@ -248,7 +262,8 @@ def table4():
 
 
 monomials4 = st.tuples(*[st.integers(0, 2)] * 4)
-polys4 = st.dictionaries(monomials4, st.integers(-4, 4).filter(bool),
+polys4 = st.dictionaries(monomials4.map(table4().encode),
+                         st.integers(-4, 4).filter(bool),
                          min_size=1, max_size=5).map(Polynomial)
 
 
@@ -263,13 +278,95 @@ def test_reduce_matches_linear_scan(gens, f):
     assert cert == ref_cert
 
 
+# -- the packed encoding against exponent tuples ------------------------------
+
+
+@st.composite
+def weighted_table(draw):
+    """A table of 1 to 5 variables with weights 1 to 4."""
+    n = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    names = [f"v{i}" for i in range(n)]
+    return VariableTable(names, weights, names, ("c",) * n)
+
+
+def exponent_tuples(t, degree):
+    """Exponent tuples of weighted degree at most ``degree``: each position
+    takes up to what the ones drawn before it leave, so a single variable
+    can fill its field to the top."""
+    @st.composite
+    def draw_tuple(draw):
+        exps = [0] * t.n
+        left = degree
+        for p in draw(st.permutations(range(t.n))):
+            exps[p] = draw(st.integers(0, left // t.weights[p]))
+            left -= exps[p] * t.weights[p]
+        return tuple(exps)
+    return draw_tuple()
+
+
+def tuple_degree(t, exps):
+    return sum(map(mul, exps, t.weights))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(monomials4, min_size=2, max_size=30, unique=True))
-def test_front_order_is_the_monomial_order(monos):
-    t = table4()
-    by_front = sorted(monos, key=lambda m: _front_entry(t.mono_degree(m), m,
-                                                        t.mono_mask(m)))
-    assert by_front == sorted(monos, key=t.mono_key, reverse=True)
+@given(st.data())
+def test_k_order_is_the_monomial_order(data):
+    t = data.draw(weighted_table())
+    monos = data.draw(st.lists(
+        exponent_tuples(t, data.draw(st.sampled_from((3, 12, t.max_degree)))),
+        min_size=2, max_size=30, unique=True))
+    assert sorted(monos, key=t.encode) == sorted(monos, key=lambda m: tuple_key(t, m))
+    assert len({t.encode(m) for m in monos}) == len(monos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_encoding_matches_exponent_tuples(data):
+    t = data.draw(weighted_table())
+    top = t.max_degree
+    a, b = (data.draw(exponent_tuples(t, data.draw(st.sampled_from((2, 6, top)))))
+            for _ in range(2))
+    ka, kb = t.encode(a), t.encode(b)
+    assert t.exponents(ka) == a
+    assert t.support(ka) == [(p, e) for p, e in enumerate(a) if e]
+    assert t.mono_degree(ka) == tuple_degree(t, a)
+    assert t.mono_name(ka) == ("*".join(
+        t.names[p] if e == 1 else f"{t.names[p]}^{e}"
+        for p, e in enumerate(a) if e) or "1")
+    assert t.mono_divides(ka, kb) == all(map(le, a, b))
+    if all(map(le, a, b)):
+        assert t.mono_div(kb, ka) == t.encode(tuple(map(sub, b, a)))
+    shared = any(x and y for x, y in zip(a, b))
+    assert bool(t.mono_mask(ka) & t.mono_mask(kb)) == shared
+    for got, want in ((lambda: t.mono_mul(ka, kb), tuple(map(add, a, b))),
+                      (lambda: t.mono_lcm(ka, kb), tuple(map(max, a, b)))):
+        if tuple_degree(t, want) <= top:
+            assert got() == t.encode(want)
+        else:
+            with pytest.raises(ValueError):
+                got()
+
+
+def test_field_overflow_raises():
+    # w has weight one, so its exponent can fill its whole field
+    t = VariableTable("uvw", (2, 3, 1), "uvw", ("c",) * 3)
+    top = t.max_degree
+    full = t.encode((0, 0, top))
+    assert t.exponents(full) == (0, 0, top)
+    assert t.mono_mul(t.variable("w", top - 1), t.variable("w")) == full
+    assert t.mono_degree(t.variable("u", top // 2)) == top - 1
+    for overflow in (lambda: t.encode((0, 0, top + 1)),
+                     lambda: t.encode((1, 0, top - 1)),
+                     lambda: t.encode((0, -1, 0)),
+                     lambda: t.variable("u", top // 2 + 1),
+                     lambda: t.mono_mul(full, t.variable("w")),
+                     lambda: t.mono_mul(full, t.variable("u")),
+                     lambda: t.mono_lcm(full, t.variable("v")),
+                     lambda: t.monomials_of_degree(top + 1),
+                     lambda: GroebnerBasis(t, []).standard_monomials(top + 1)):
+        with pytest.raises(ValueError):
+            overflow()
 
 
 @settings(max_examples=300, deadline=None)

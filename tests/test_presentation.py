@@ -68,7 +68,7 @@ def test_relation_i_for_c(running_pres):
     pres, named = running_pres
     pos = pres.table.position[("t", ((5,), named["c"]))]
     hits = [r for r in pres.relations().monomial_i
-            if next(iter(r.terms))[pos]]
+            if pres.table.exponents(next(iter(r.terms)))[pos]]
     assert len(hits) == 12  # every ray except r3, r4
 
 
@@ -140,7 +140,8 @@ def test_ideal_equality_alpha_vs_generators(running_pres):
 def test_toric_betti_running(running_pres):
     pres, _ = running_pres
     gb, positions = pres.restricted_gb(pres.poset.zero)
-    assert gb.hilbert(4, positions) == [1, 11, 11, 1, 0]
+    assert [len(gb.standard_monomials(d, positions))
+            for d in range(5)] == [1, 11, 11, 1, 0]
     from wondertoric.poset import make_building_set
 
     empty = make_building_set(pres.poset, frozenset(), ())
@@ -250,6 +251,6 @@ def test_restriction_image_examples(running_pres):
     p1_image = images[("t", ((0,), named["P1"]))]
     assert len(p1_image.terms) == 1
     mono = next(iter(p1_image.terms))
-    pos = mono.index(1)
+    pos = contracted.table.exponents(mono).index(1)
     assert contracted.table.keys[pos][0] == "t"
     assert contracted.bl.nested(contracted.table.keys[pos][1]).x == named["P1"]

@@ -11,9 +11,14 @@ The library grows the escalier level by level, drops the columns of
 single-unit rows before its heap elimination, and tail-reduces in one
 basis; it must give the same monomials, in the same order, the same rank
 and torsion, and the same basis, term for term.
+
+``TupleReducer`` is the reducer on dense exponent tuples that the packed
+monomials replaced; the packed ``GroebnerBasis.reduce`` must give the
+same normal forms and certificates.
 """
 
 from heapq import heapify, heappop, heappush
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +29,15 @@ from wondertoric.fixtures import a22_fan, a_n_c, running_arrangement, running_fa
 from wondertoric.intlinalg import snf
 from wondertoric.polyring import (
     GroebnerBasis,
+    PairSweep,
     Polynomial,
     VariableTable,
+    _gcd_pair,
+    _s_pair,
     _sparse_quotient,
     buchberger,
     graded_rank_oracle,
+    groebner_witness,
 )
 from wondertoric.presentation import presentation_from_arrangement, toric_relations
 
@@ -208,8 +217,111 @@ def reference_minimalize(basis):
         lm, lc = table.leading(f)
         tail = others.reduce(f - Polynomial({lm: lc}))
         reduced.append(Polynomial({lm: lc}) + tail)
-    reduced.sort(key=lambda g: table.mono_key(table.leading(g)[0]))
+    reduced.sort(key=lambda g: tuple_key(table, table.exponents(max(g.terms))))
     return GroebnerBasis(table, reduced)
+
+
+def tuple_key(table, exps):
+    """Ascending monomial order on exponent tuples: weighted degree, then
+    reverse lexicographic."""
+    return (sum(map(mul, exps, table.weights)), tuple(-e for e in reversed(exps)))
+
+
+def tuple_mask(exps):
+    return sum(1 << p for p, e in enumerate(exps) if e)
+
+
+class TupleReducer:
+    """Reduction over a basis on dense exponent tuples.
+
+    The terms still to reduce sit in ``work``; the front is a heap of
+    ``(-degree, m[::-1], m, mask)``, which ascends as the monomial order
+    descends, so the largest term comes off first.  The candidates for a
+    term are the elements whose lead support lies inside its support, in
+    the order they were added; a candidate's lead divides the term unless
+    one of the lead's exponents above one (its "powers") exceeds the
+    term's.  A new term's degree and support mask come from its tail
+    term's and those of the shift.  Only ``reduce``'s input and output
+    pass through the packed encoding.
+    """
+
+    def __init__(self, basis):
+        table = self.table = basis.table
+        self.weights = table.weights
+        self.leads, self.tails = [], []
+        for f in basis.elements:
+            lm, lc = table.leading(f)
+            self.leads.append((table.exponents(lm), lc))
+            tail = [(table.exponents(m), c) for m, c in f.terms.items() if m != lm]
+            self.tails.append([(e, c, self.degree(e), tuple_mask(e)) for e, c in tail])
+        self.masks = [tuple_mask(lm) for lm, _ in self.leads]
+        self.degrees = [self.degree(lm) for lm, _ in self.leads]
+        self.support = [tuple((p, e) for p, e in enumerate(lm) if e)
+                        for lm, _ in self.leads]
+        self.powers = [tuple((p, e) for p, e in s if e > 1) for s in self.support]
+        self.candidates = {}
+
+    def degree(self, exps):
+        return sum(map(mul, exps, self.weights))
+
+    def _candidates(self, mask):
+        found = self.candidates.get(mask)
+        if found is None:
+            found = [i for i, lead_mask in enumerate(self.masks)
+                     if not lead_mask & ~mask]
+            self.candidates[mask] = found
+        return found
+
+    def reduce(self, f, certificate=False):
+        table = self.table
+        work = {table.exponents(m): c for m, c in f.terms.items()}
+        front = [(-self.degree(m), m[::-1], m, tuple_mask(m)) for m in work]
+        heapify(front)
+        out, cert = {}, {}
+        while front:
+            neg_deg, _, m, mask = heappop(front)
+            c = work.pop(m, None)
+            if c is None:
+                continue
+            while True:
+                ac = abs(c)
+                for i in self._candidates(mask):
+                    if self.leads[i][1] <= ac:
+                        for p, e in self.powers[i]:
+                            if m[p] < e:
+                                break
+                        else:
+                            break
+                else:
+                    out[table.encode(m)] = c
+                    break
+                lm, lc = self.leads[i]
+                q, c = divmod(c, lc)
+                shift = tuple(map(sub, m, lm))
+                shift_deg = -neg_deg - self.degrees[i]
+                shift_mask = mask & ~self.masks[i]
+                for p, e in self.support[i]:
+                    if m[p] > e:
+                        shift_mask |= 1 << p
+                for mm, cc, dd, mmask in self.tails[i]:
+                    key = tuple(map(add, mm, shift))
+                    qc = q * cc
+                    old = work.get(key)
+                    if old is None:
+                        work[key] = -qc
+                        heappush(front, (-(dd + shift_deg), key[::-1], key,
+                                         mmask | shift_mask))
+                    elif old == qc:
+                        del work[key]
+                    else:
+                        work[key] = old - qc
+                if certificate:
+                    cert[i] = (cert.get(i, Polynomial({}))
+                               + Polynomial({table.encode(shift): q}))
+                if c == 0:
+                    break
+        nf = Polynomial(out)
+        return (nf, cert) if certificate else nf
 
 
 def term_lists(basis):
@@ -308,12 +420,17 @@ def weighted_bases(draw):
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     names = [f"v{i}" for i in range(n)]
     table = VariableTable(names, weights, names, ("c",) * n)
-    monomials = st.tuples(*[st.integers(0, 2)] * n)
-    coeffs = st.integers(-3, 3).filter(bool)
-    polys = st.dictionaries(monomials, coeffs, min_size=1, max_size=3)
-    gens = draw(st.lists(polys.map(Polynomial), max_size=5))
+    gens = draw(st.lists(tuple_polys(table, 3), max_size=5))
     positions = draw(st.none() | st.lists(st.integers(0, n - 1), unique=True))
     return GroebnerBasis(table, gens), positions
+
+
+def tuple_polys(table, max_size):
+    """Polynomials with exponents 0 to 2 and coefficients -3 to 3."""
+    monomials = st.tuples(*[st.integers(0, 2)] * table.n).map(table.encode)
+    coeffs = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(monomials, coeffs, min_size=1,
+                           max_size=max_size).map(Polynomial)
 
 
 @settings(max_examples=200, deadline=None)
@@ -365,13 +482,84 @@ def test_buchberger_matches_reference_minimalize_on_weighted_tables(inputs):
 
 def test_escalier_weights_and_unit_leads():
     t = VariableTable("xy", (1, 2), "xy", ("c", "c"))
-    basis = GroebnerBasis(t, [t.term(2, (1, 0)), t.term(1, (0, 1))])
-    assert basis.standard_monomials(3) == [(3, 0)]
+    basis = GroebnerBasis(t, [t.term(2, t.encode((1, 0))), t.term(1, t.encode((0, 1)))])
+    assert basis.standard_monomials(3) == [t.encode((3, 0))]
     assert basis.standard_monomials(2, [1]) == []
-    assert basis.standard_monomials(2, [0]) == [(2, 0)]
-    assert GroebnerBasis(t, []).standard_monomials(2) == [(2, 0), (0, 1)]
+    assert basis.standard_monomials(2, [0]) == [t.encode((2, 0))]
+    assert (GroebnerBasis(t, []).standard_monomials(2)
+            == [t.encode((2, 0)), t.encode((0, 1))])
     assert GroebnerBasis(t, [t.const(1)]).standard_monomials(0) == []
     assert basis.standard_monomials(-1) == []
+
+
+# -- the packed reducer against the tuple reducer ------------------------------
+
+
+def alpha_pairs(basis, cap):
+    """The S- and GCD-polynomials the alpha sweep reduces."""
+    sweep = PairSweep(basis, cap)
+    for j in range(len(basis)):
+        for _, i, _, kind in sweep.pairs_with(j):
+            make = _s_pair if kind == "S" else _gcd_pair
+            yield make(basis.table, basis.elements[i], (basis._lm[i], basis._lc[i]),
+                       basis.elements[j], (basis._lm[j], basis._lc[j]))
+
+
+@pytest.fixture(scope="module", params=[("min", 2220), ("max", 3964)],
+                ids=lambda p: p[0])
+def running(request):
+    selector, reductions = request.param
+    return presentation_from_arrangement(running_arrangement(), running_fan(),
+                                         selector=selector), reductions
+
+
+def test_reduce_matches_tuple_reducer_on_alpha_pairs(running):
+    pres, reductions = running
+    basis = GroebnerBasis(pres.table, pres.alpha())
+    reference = TupleReducer(basis)
+    pairs = list(alpha_pairs(basis, pres.degree_cap))
+    assert len(pairs) == reductions
+    for f in pairs:
+        nf, cert = basis.reduce(f, certificate=True)
+        assert not nf
+        assert (nf, cert) == reference.reduce(f, certificate=True)
+
+
+@st.composite
+def bases_and_polys(draw):
+    basis, _ = draw(weighted_bases())
+    return basis, draw(tuple_polys(basis.table, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases_and_polys())
+def test_reduce_matches_tuple_reducer_on_weighted_tables(basis_poly):
+    basis, f = basis_poly
+    assert (basis.reduce(f, certificate=True)
+            == TupleReducer(basis).reduce(f, certificate=True))
+
+
+def test_witness_matches_tuple_reducer_on_broken_alpha(running, monkeypatch):
+    # drop one of the first four elements of the toric basis that are not
+    # monomials (linear forms and a quadric on running): alpha is then no
+    # Groebner basis, and the first failing pair must be the same, with
+    # the same normal form, under either reducer
+    pres, _ = running
+    table, cap = pres.table, pres.degree_cap
+    dropped = [g for g in pres.toric_gb().elements if len(g.terms) > 1][:4]
+    broken = [[f for f in pres.alpha() if f != g] for g in dropped]
+    got = [str(groebner_witness(table, alpha, cap)) for alpha in broken]
+    reducers = {}
+
+    def tuple_reduce(basis, f, certificate=False):
+        if basis not in reducers:
+            reducers[basis] = TupleReducer(basis)
+        return reducers[basis].reduce(f, certificate)
+
+    monkeypatch.setattr(GroebnerBasis, "reduce", tuple_reduce)
+    want = [str(groebner_witness(table, alpha, cap)) for alpha in broken]
+    assert got == want
+    assert "None" not in got
 
 
 @st.composite
