@@ -79,7 +79,6 @@ from .poset import (
 from .presentation import (
     BettiReport,
     ModelPresentation,
-    blowup_hilbert,
     presentation_from_arrangement,
     toric_relations,
 )

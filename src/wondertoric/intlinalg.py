@@ -302,11 +302,7 @@ def annihilator(lat: Sublattice) -> Sublattice:
     The result is saturated of rank ``n - rank(lat)``.
     """
     n = lat.ambient_rank
-    if lat.rank == 0:
-        return Sublattice.full(n)
-    res = snf(lat.basis, transforms=True)
-    cols = [[res.right[i][j] for i in range(n)] for j in range(res.rank, n)]
-    return Sublattice.from_rows(n, cols)
+    return Sublattice.from_rows(n, kernel_basis(lat.basis, n))
 
 
 def kernel_basis(mat, cols: int) -> list[tuple[int, ...]]:

@@ -45,10 +45,11 @@ whose normal form is nonzero, which ``is_groebner`` reduces to a bool.
 Two independent routes give graded ranks, and both cost what their output
 costs.  ``GroebnerBasis.standard_monomials`` grows the escalier degree by
 degree outside the initial ideal, testing each new monomial against the
-unit leads through the divisibility index.  ``graded_rank_oracle`` drops
-the columns of the relation matrix's single-unit rows at once, eliminates
-the remaining unit entries in Markowitz order off a heap, and hands what
-is left to a dense Smith normal form.
+unit leads through the divisibility index.  ``graded_rank_oracle`` works
+modulo the unit-coefficient monomial generators, drops the columns of
+single-unit rows at once, eliminates the remaining unit entries in
+Markowitz order off a heap, and hands what is left to a dense Smith
+normal form.
 """
 
 from __future__ import annotations
@@ -763,32 +764,47 @@ def _sparse_quotient(rows: list[dict], ncols: int) -> tuple[int, tuple[int, ...]
     return ncols - contracted - res.rank, torsion
 
 
-def graded_rank_oracle(table: VariableTable, gens, d: int,
-                       max_monomials: int = 20000) -> tuple[int, tuple[int, ...]]:
+def graded_rank_oracle(table: VariableTable, gens, d: int) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion of degree ``d`` of the quotient by ``gens``.
 
-    Rows are all monomial multiples of the generators landing in degree
-    ``d``, expressed in the degree-``d`` monomial basis; the quotient is
-    read off a sparse Smith elimination.  Entirely independent of the
-    Groebner route.
+    Works modulo M, the ideal of the unit-coefficient monomial generators:
+    the columns are the degree-d monomials outside M, from the oracle's own
+    walk, apart from the Groebner route (m is outside M when it is no
+    generator and every m/x_q is), and the rows the other generators times
+    them, with their terms in M dropped.
     """
-    cols = table.monomials_of_degree(d)
-    if len(cols) > max_monomials:
-        raise ValueError(
-            f"degree {d} has {len(cols)} monomials, above the cap {max_monomials}")
-    col_index = {m: i for i, m in enumerate(cols)}
-    rows = []
-    for g in gens:
-        if not g:
-            continue
-        gd = table.degree(g)
-        if not table.is_homogeneous(g):
+    if d < 0:
+        return 0, ()
+    table._checked(d << table._shift)
+    units, others = set(), []
+    for g in filter(None, gens):
+        if len(g.terms) == 1 and abs(next(iter(g.terms.values()))) == 1:
+            units.update(g.terms)
+        elif table.is_homogeneous(g):
+            others.append(g)
+        else:
             raise ValueError("rank oracle requires homogeneous generators")
+    # levels[k]: degree-k monomial outside M -> its largest position (0 for 1)
+    levels = [{} if 0 in units else {0: 0}]
+    for k in range(1, d + 1):
+        level = {}
+        for p, w in enumerate(table.weights):
+            if w > k:
+                continue
+            for m, top in levels[k - w].items():
+                mp = m + table._vars[p]
+                if top <= p and mp not in units and all(
+                        mp - table._vars[q] in levels[k - table.weights[q]]
+                        for q, _ in table.support(m)):
+                    level[mp] = p
+        levels.append(level)
+    cols = {m: i for i, m in enumerate(levels[d])}
+    rows = []
+    for g in others:
+        gd = table.degree(g)
         if gd > d:
             continue
-        for m in table.monomials_of_degree(d - gd):
-            row = {}
-            for mm, cc in g.terms.items():
-                row[col_index[mm + m]] = cc
-            rows.append(row)
+        for m in levels[d - gd]:
+            rows.append({cols[mm + m]: cc for mm, cc in g.terms.items()
+                         if mm + m in cols})
     return _sparse_quotient(rows, len(cols))

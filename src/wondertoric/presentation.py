@@ -28,7 +28,6 @@ from .polyring import (
     buchberger,
     graded_rank_oracle,
     groebner_witness,
-    is_groebner,
 )
 from .poset import (
     BlowupPoset,
@@ -183,6 +182,7 @@ class ModelPresentation:
         self._relations: RelationSet | None = None
         self._alpha: list[Polynomial] | None = None
         self._alpha_verified: bool | None = None
+        self._alpha_witness: GroebnerWitness | None = None
 
     # -- naming ---------------------------------------------------------
 
@@ -219,7 +219,7 @@ class ModelPresentation:
             return self._relations
         table = self.table
         blp = self.bl.poset
-        rel_i, rel_ii, rel_iii = [], [], []
+        rel_i = []
         # (i) toric variables vanishing on a stratum
         for label in blp.labels:
             if label == blp.zero:
@@ -230,19 +230,22 @@ class ModelPresentation:
                 if any(_dot(chi, ray) for chi in gamma.basis):
                     rel_i.append(table.term(
                         1, table.mono_mul(tmono, table.variable(("c", lab)))))
-        # (ii) one relation per cover moving the projection
-        for alab, blab in blp.covers():
-            if self.bl.pi[alab] == self.bl.pi[blab]:
-                continue
-            rel_ii.append(self._cover_relation(alab, blab))
-        # (iii) products of incomparable strata
-        nonzero = [x for x in blp.labels if x != blp.zero]
-        for alab, blab in itertools.combinations(nonzero, 2):
-            if blp.leq(alab, blab) or blp.leq(blab, alab):
-                continue
-            rel_iii.append(self._pair_relation(alab, blab))
+        rel_ii = [self._cover_relation(a, b) for a, b in self._moving_covers()]
+        rel_iii = [self._pair_relation(a, b) for a, b in self._incomparable_pairs()]
         self._relations = RelationSet(rel_i, rel_ii, rel_iii)
         return self._relations
+
+    def _moving_covers(self) -> list:
+        """The covers that move the projection, one relation (ii) each."""
+        return [(a, b) for a, b in self.bl.poset.covers()
+                if self.bl.pi[a] != self.bl.pi[b]]
+
+    def _incomparable_pairs(self) -> list:
+        """The incomparable pairs of strata, one relation (iii) each."""
+        blp = self.bl.poset
+        nonzero = [x for x in blp.labels if x != blp.zero]
+        return [(a, b) for a, b in itertools.combinations(nonzero, 2)
+                if not (blp.leq(a, b) or blp.leq(b, a))]
 
     def _cover_relation(self, alab, blab) -> Polynomial:
         table = self.table
@@ -355,18 +358,16 @@ class ModelPresentation:
 
     def verify_alpha(self) -> bool:
         if self._alpha_verified is None:
-            self._alpha_verified = is_groebner(self.table, self.alpha(),
-                                               self.degree_cap)
+            self._alpha_witness = groebner_witness(self.table, self.alpha(),
+                                                   self.degree_cap)
+            self._alpha_verified = self._alpha_witness is None
         return self._alpha_verified
 
     def alpha_witness(self) -> GroebnerWitness | None:
-        """The first alpha pair with a nonzero normal form, or None.
-
-        Runs a second sweep, and only when ``verify_alpha`` failed.
-        """
-        if self.verify_alpha():
-            return None
-        return groebner_witness(self.table, self.alpha(), self.degree_cap)
+        """The first alpha pair with a nonzero normal form, or None: what
+        the one pair sweep of ``verify_alpha`` found."""
+        self.verify_alpha()
+        return self._alpha_witness
 
     def alpha_reducer(self) -> GroebnerBasis:
         return GroebnerBasis(self.table, self.alpha())
@@ -406,7 +407,10 @@ class ModelPresentation:
         above = reducer.standard_monomials(self.dim + 1)
         if above:
             raise AssertionError(
-                f"escalier does not vanish above the torus dimension: {above}")
+                f"escalier does not vanish above the torus dimension {self.dim}"
+                + (f" (the degree cap {cap} is below dim + 1, so alpha is"
+                   f" verified only up to degree {cap})" if cap <= self.dim else "")
+                + ": " + ", ".join(table.mono_name(m) for m in above))
         gens = self.toric() + self.relations().all()
         oracle = [graded_rank_oracle(table, gens, d) for d in degrees]
         from . import admissible
@@ -445,26 +449,22 @@ class ModelPresentation:
         may outrank the product); they are reported, never forced.
         """
         table = self.table
-        blp = self.bl.poset
+        rels = self.relations()
         out = {"ii_match": 0, "ii_mismatch": 0, "iii_match": 0, "iii_mismatch": 0}
-        for alab, blab in blp.covers():
+        for (alab, blab), rel in zip(self._moving_covers(), rels.chern_ii):
             pa, pb = self.bl.pi[alab], self.bl.pi[blab]
-            if pa == pb:
-                continue
             g = next(iter(self.bl.nested(blab).members
                           - self.bl.nested(alab).members))
             s = self.gamma_of(pb).rank - self.gamma_of(pa).rank
             atom = ((self.bl.member_pos[g],), g)
             expected = table.mono_mul(table.variable(("t", blab)),
                                       table.variable(("t", atom), s - 1))
-            rel = self._cover_relation(alab, blab)
             lm, _ = table.leading(rel)
             out["ii_match" if lm == expected else "ii_mismatch"] += 1
-        nonzero = [x for x in blp.labels if x != blp.zero]
-        for alab, blab in itertools.combinations(nonzero, 2):
-            if blp.leq(alab, blab) or blp.leq(blab, alab) or not blp.joins(alab, blab):
+        for (alab, blab), rel in zip(self._incomparable_pairs(),
+                                     rels.incomparable_iii):
+            if not self.bl.poset.joins(alab, blab):
                 continue
-            rel = self._pair_relation(alab, blab)
             lm, _ = table.leading(rel)
             expected = table.mono_mul(table.variable(("t", alab)),
                                       table.variable(("t", blab)))
@@ -515,8 +515,8 @@ class ModelPresentation:
         gens = deleted.toric() + deleted.relations().all()
         max_deg = max(deleted.table.degree(g) for g in gens)
         cap = max(contracted.degree_cap, max_deg)
-        if not is_groebner(contracted.table, contracted.alpha(), cap):
-            witness = groebner_witness(contracted.table, contracted.alpha(), cap)
+        witness = groebner_witness(contracted.table, contracted.alpha(), cap)
+        if witness is not None:
             raise AssertionError(f"contracted alpha failed verification: {witness}")
         reducer = contracted.alpha_reducer()
         failures = []
@@ -572,22 +572,6 @@ class RestrictionReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def blowup_hilbert(h_y: list[int], h_z: list[int], codim: int) -> list[int]:
-    """Graded ranks after blowing up a center of the given codimension."""
-    if codim < 1:
-        raise ValueError("codimension must be at least one")
-    out = list(h_y)
-    for shift in range(1, codim):
-        for i, c in enumerate(h_z):
-            idx = i + shift
-            while idx >= len(out):
-                out.append(0)
-            out[idx] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def presentation_from_arrangement(arrangement, fan: Fan, selector="min",

@@ -271,6 +271,17 @@ def test_failed_alpha_names_the_witness(tmp_path, capsys, data_dir):
     assert f"alpha failed the Groebner pair test: {witness}" in err
 
 
+def test_low_cap_names_the_monomials_that_do_not_vanish(capsys, data_dir):
+    # with the cap below dim + 1 = 4 the escalier keeps degree-4 monomials
+    code, _, err = run_cli(capsys, [
+        "model-betti",
+        "--arrangement", fixture_path(data_dir, "running.arr.json"),
+        "--fan", fixture_path(data_dir, "running.fan.json"), "--cap", "2"])
+    assert code == 1
+    assert "dimension 3 (the degree cap 2 is below dim + 1," in err
+    assert err.rstrip().endswith("so alpha is verified only up to degree 2): "
+                                 "c7*c1^3, c1^4")
+
 
 # Reports pinned before monomials were packed into ints: every byte of the
 # --deterministic JSON, escalier and admissible basis order included, must

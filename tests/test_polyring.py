@@ -155,12 +155,6 @@ def test_oracle_detects_torsion():
     assert (rank, torsion) == (0, (2,))
 
 
-def test_oracle_monomial_cap():
-    t = table3()
-    with pytest.raises(ValueError):
-        graded_rank_oracle(t, [t.term(1, mono(t, x=1))], 3, max_monomials=5)
-
-
 def test_s_and_gcd_polynomials():
     t = table3()
     f = t.poly({mono(t, x=2): 2, mono(t, y=2): 1})

@@ -14,11 +14,10 @@ from wondertoric.fixtures import (
 from wondertoric.poset import make_building_set
 from wondertoric.presentation import (
     ModelPresentation,
-    blowup_hilbert,
     presentation_from_arrangement,
     toric_relations,
 )
-from wondertoric.polyring import graded_rank_oracle
+from wondertoric.polyring import PairSweep, graded_rank_oracle
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +210,23 @@ def test_leading_monomial_findings(running_pres):
     assert findings["iii_mismatch"] > 0
 
 
+def blowup_hilbert(h_y, h_z, codim):
+    """Graded ranks after blowing up a center of the given codimension:
+    h_Y plus h_Z shifted by 1, ..., codim - 1."""
+    if codim < 1:
+        raise ValueError("codimension must be at least one")
+    out = list(h_y)
+    for shift in range(1, codim):
+        for i, c in enumerate(h_z):
+            idx = i + shift
+            while idx >= len(out):
+                out.append(0)
+            out[idx] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def test_blowup_hilbert():
     assert blowup_hilbert([1, 2, 1], [1], 1) == [1, 2, 1]
     assert blowup_hilbert([1, 11, 11, 1], [1, 1], 2) == [1, 12, 12, 1]
@@ -227,6 +243,28 @@ def test_blowup_hilbert_running_chain():
     for _ in range(3):
         h = blowup_hilbert(h, [1], 3)
     assert h == [1, 15, 15, 1]
+
+
+def test_failed_alpha_takes_one_pair_sweep(monkeypatch):
+    # the P1 x P1 fan is not equal-sign for A(2,2), so alpha fails; the
+    # witness betti() reports is the one the verifying sweep found
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                   [frozenset({0, 1}), frozenset({1, 2}),
+                    frozenset({2, 3}), frozenset({3, 0})])
+    pres = presentation_from_arrangement(a_n_c(2, 2), fan, selector="min")
+    calls = []
+    witness = PairSweep.witness
+
+    def counted(self):
+        calls.append(self)
+        return witness(self)
+
+    monkeypatch.setattr(PairSweep, "witness", counted)
+    with pytest.raises(AssertionError, match="alpha failed the Groebner pair test: S-pair"):
+        pres.betti()
+    assert len(calls) == 1
+    assert pres.alpha_witness() is not None and not pres.verify_alpha()
+    assert len(calls) == 1
 
 
 def test_presentation_from_arrangement_validation():

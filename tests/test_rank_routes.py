@@ -6,11 +6,13 @@ ends ``buchberger``: the escalier lists every degree-d monomial and tests
 each against every unit-coefficient lead; one elimination looks for each
 pivot by scanning every live row for the unit entry of least Markowitz
 cost, another takes every pivot, single-unit rows included, off a heap;
-``minimalize`` rebuilds a basis for every element whose tail it reduces.
-The library grows the escalier level by level, drops the columns of
-single-unit rows before its heap elimination, and tail-reduces in one
-basis; it must give the same monomials, in the same order, the same rank
-and torsion, and the same basis, term for term.
+the full-column oracle has a column for every degree-d monomial and a row
+for every generator times monomial; ``minimalize`` rebuilds a basis for
+every element whose tail it reduces.  The library grows the escalier
+level by level, drops the columns of single-unit rows before its heap
+elimination, runs the oracle modulo the unit monomial generators, and
+tail-reduces in one basis; it must give the same monomials, in the same
+order, the same rank and torsion, and the same basis, term for term.
 
 ``TupleReducer`` is the reducer on dense exponent tuples that the packed
 monomials replaced; the packed ``GroebnerBasis.reduce`` must give the
@@ -188,6 +190,25 @@ def reference_heap_quotient(rows, ncols):
     res = snf(dense)
     return (ncols - contracted - res.rank,
             tuple(d for d in res.invariant_factors if d != 1))
+
+
+def reference_full_oracle(table, gens, d):
+    """Rank and torsion in degree d from every degree-d monomial as a
+    column and every generator times monomial as a row."""
+    cols = table.monomials_of_degree(d)
+    col_index = {m: i for i, m in enumerate(cols)}
+    rows = []
+    for g in gens:
+        if not g:
+            continue
+        gd = table.degree(g)
+        if not table.is_homogeneous(g):
+            raise ValueError("rank oracle requires homogeneous generators")
+        if gd > d:
+            continue
+        for m in table.monomials_of_degree(d - gd):
+            rows.append({col_index[mm + m]: cc for mm, cc in g.terms.items()})
+    return _sparse_quotient(rows, len(cols))
 
 
 def reference_minimalize(basis):
@@ -380,6 +401,20 @@ def test_oracle_matches_reference_on_models(model, monkeypatch):
     assert all(torsion == () for _, torsion in got)
 
 
+# the full-column reference lists every monomial of the degree; above this
+# many (running/minwc and running/max at degree 4 have 20,227) it is left out
+FULL_COLUMNS = 20000
+
+
+def test_oracle_matches_full_column_reference(model):
+    table, gens = model.table, model.toric() + model.relations().all()
+    for d in range(model.dim + 2):
+        if d <= model.dim or len(table.monomials_of_degree(d)) <= FULL_COLUMNS:
+            assert (graded_rank_oracle(table, gens, d)
+                    == reference_full_oracle(table, gens, d)), d
+    assert graded_rank_oracle(table, gens, model.dim + 1) == (0, ())
+
+
 def test_buchberger_matches_reference_minimalize_on_restricted_bases(
         model, monkeypatch):
     inputs = [toric_relations(model.restricted_fan(layer), model.table)
@@ -478,6 +513,44 @@ def test_buchberger_matches_reference_minimalize_on_weighted_tables(inputs):
     finally:
         GroebnerBasis.minimalize = original
     assert got == want
+
+
+@st.composite
+def oracle_inputs(draw):
+    """Generators over a weighted table of 1 to 4 variables, each
+    homogeneous of its own degree from 0 to 3: unit monomials, monomials
+    with a coefficient of 2 or 3 up to sign, and binomials; and a degree
+    from -2 to 7."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    names = [f"v{i}" for i in range(n)]
+    table = VariableTable(names, weights, names, ("c",) * n)
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        monomials = table.monomials_of_degree(draw(st.integers(0, 3)))
+        if not monomials:
+            continue
+        kind = draw(st.sampled_from(("unit", "non-unit", "binomial")))
+        if kind == "binomial" and len(monomials) > 1:
+            pair = draw(st.lists(st.sampled_from(monomials), min_size=2,
+                                 max_size=2, unique=True))
+            coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                                   min_size=2, max_size=2))
+            gens.append(Polynomial(dict(zip(pair, coeffs))))
+        else:
+            scale = st.sampled_from((1, -1) if kind == "unit" else (2, -2, 3, -3))
+            gens.append(Polynomial({draw(st.sampled_from(monomials)): draw(scale)}))
+    return table, gens, draw(st.integers(-2, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_inputs())
+def test_oracle_matches_full_column_reference_on_weighted_tables(inputs):
+    table, gens, d = inputs
+    got = graded_rank_oracle(table, gens, d)
+    assert got == reference_full_oracle(table, gens, d)
+    if d < 0:
+        assert got == (0, ())
 
 
 def test_escalier_weights_and_unit_leads():
