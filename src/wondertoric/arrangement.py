@@ -22,15 +22,20 @@ from .intlinalg import Sublattice, hnf, is_saturated, snf
 from .poset import RankedPoset
 
 
-def _phase_sums(matrix, values) -> list[Fraction]:
+def _numerators(values) -> tuple[int, list[int]]:
+    """The common denominator of ``values`` and their numerators over it."""
+    den = lcm(*(w.denominator for w in values))
+    return den, [w.numerator * (den // w.denominator) for w in values]
+
+
+def _phase_sums(matrix, values) -> tuple[Fraction, ...]:
     """``sum(c * w for c, w in zip(row, values))`` modulo 1, for each row.
 
     The integer numerators are summed over the common denominator of
     ``values``, so a row costs one ``Fraction`` rather than one per term.
     """
-    den = lcm(*(w.denominator for w in values))
-    nums = [w.numerator * (den // w.denominator) for w in values]
-    return [Fraction(sum(map(mul, row, nums)) % den, den) for row in matrix]
+    den, nums = _numerators(values)
+    return tuple(Fraction(sum(map(mul, row, nums)) % den, den) for row in matrix)
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,8 @@ class Layer:
                 "character lattice is not saturated; the subvariety it cuts "
                 "out is disconnected (split it into layers first)"
             )
-        return _with_phases(ambient_rank, rows, [values])[0]
+        lattice, coeffs = _hnf_frame(ambient_rank, rows)
+        return Layer(lattice, _phase_sums(coeffs, values))
 
     @staticmethod
     def whole_torus(ambient_rank: int) -> "Layer":
@@ -98,18 +104,20 @@ class Layer:
         return self.name
 
 
-def _with_phases(ambient_rank: int, rows, phase_lists) -> list[Layer]:
-    """One layer on the lattice of ``rows`` per list of phase values on them.
-
-    ``rows`` must be independent and span a saturated lattice.  The phases
-    are carried to the HNF basis, whose rows are integer combinations of
-    ``rows`` with coefficients from the HNF transform.
-    """
+def _hnf_frame(ambient_rank: int, rows) -> tuple[Sublattice, list]:
+    """The lattice of independent ``rows`` on its HNF basis, and the rows
+    of the HNF transform, which carry phases on ``rows`` to that basis."""
     h, u = hnf(rows, cols=ambient_rank)
     keep = [i for i, hrow in enumerate(h) if any(hrow)]
-    lat = Sublattice(ambient_rank, tuple(h[i] for i in keep))
-    coeffs = [u[i] for i in keep]
-    return [Layer(lat, tuple(_phase_sums(coeffs, values))) for values in phase_lists]
+    return (Sublattice(ambient_rank, tuple(h[i] for i in keep)),
+            [u[i] for i in keep])
+
+
+def _coordinates(inner: Sublattice, outer: Sublattice) -> list | None:
+    """Coordinates of the basis of ``inner`` in that of ``outer``, or None
+    when ``inner`` is not contained in ``outer``."""
+    coords = [outer.solve(row) for row in inner.basis]
+    return None if None in coords else coords
 
 
 def layer_leq(k1: Layer, k2: Layer) -> bool:
@@ -120,43 +128,56 @@ def layer_leq(k1: Layer, k2: Layer) -> bool:
     """
     if k1.ambient_rank != k2.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    for row, value in zip(k1.lattice.basis, k1.phase):
-        v2 = k2.phase_of(row)
-        if v2 is None or v2 != value:
-            return False
-    return True
+    coords = _coordinates(k1.lattice, k2.lattice)
+    return coords is not None and _phase_sums(coords, k2.phase) == k1.phase
 
 
-def intersect_layers(k1: Layer, k2: Layer) -> list[Layer]:
+def _meet_lattices(l1: Sublattice, l2: Sublattice) -> tuple:
+    """What intersecting a layer on ``l1`` with one on ``l2`` needs of the
+    lattices alone, from the Smith form ``U M V = D`` of the stacked bases.
+
+    The first rank rows of ``V^-1`` span the saturation of the combined
+    lattice; the phase on saturation row i solves ``d_i * x = (U w)_i``,
+    ``w`` the stacked phase values.
+    The rows of ``U`` beyond the rank span the relations among the
+    stacked characters.
+    """
+    res = snf(l1.basis + l2.basis, transforms=True)
+    r = res.rank
+    lattice, coeffs = _hnf_frame(l1.ambient_rank, res.right_inv[:r])
+    return res.left[:r], res.invariant_factors, res.left[r:], lattice, coeffs
+
+
+def intersect_layers(k1: Layer, k2: Layer, meets: dict | None = None) -> list[Layer]:
     """Connected components of the intersection of two layers.
 
     Empty when the phases are inconsistent on the common lattice;
     otherwise one layer per extension of the combined phase to the
-    saturation of the combined lattice, in canonical order.
+    saturation of the combined lattice, in canonical order.  The lattice
+    work depends on the ordered pair of lattices only: a caller that
+    intersects many layers passes one dict as ``meets`` to keep it.
     """
     if k1.ambient_rank != k2.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    n = k1.ambient_rank
-    rows = list(k1.lattice.basis) + list(k2.lattice.basis)
-    values = list(k1.phase) + list(k2.phase)
-    if not rows:
-        return [Layer.whole_torus(n)]
-    res = snf(rows, transforms=True)
-    r = res.rank
-    uw = _phase_sums(res.left, values)
-    # rows of U beyond the rank span the relations among the characters;
-    # the phase is a well-defined homomorphism iff it kills them.
-    if any(uw[r:]):
+    if k1.lattice == k2.lattice:
+        # translates of one subtorus are equal or disjoint
+        return [k1] if k1.phase == k2.phase else []
+    if meets is None:
+        meets = {}
+    key = (k1.lattice, k2.lattice)
+    if key not in meets:
+        meets[key] = _meet_lattices(*key)
+    lifts, factors, relations, lattice, coeffs = meets[key]
+    den, nums = _numerators(k1.phase + k2.phase)
+    # the phase is a well-defined homomorphism iff it kills the relations
+    if any(sum(map(mul, row, nums)) % den for row in relations):
         return []
-    # the first r rows of V^-1 span the saturation; on row i the phase is
-    # any solution of d_i * x = uw_i modulo 1
-    sat_rows = res.right_inv[:r]
     choices = []
-    for w, d in zip(uw, res.invariant_factors):
-        num, den = w.numerator, w.denominator
-        choices.append([Fraction((num + t * den) % (den * d), den * d)
-                        for t in range(d)])
-    out = _with_phases(n, sat_rows, itertools.product(*choices))
+    for row, d in zip(lifts, factors):
+        w = sum(map(mul, row, nums)) % den
+        choices.append([Fraction(w + t * den, den * d) for t in range(d)])
+    out = [Layer(lattice, _phase_sums(coeffs, values))
+           for values in itertools.product(*choices)]
     out.sort(key=Layer.sort_key)
     return out
 
@@ -195,27 +216,35 @@ def poset_of_layers(arr: ToricArrangement) -> RankedPoset:
     # frontier layers before it
     older: list[Layer] = []
     frontier = sorted(layers - {zero}, key=Layer.sort_key)
+    meets: dict = {}
     while frontier:
         new = set()
         for j, b in enumerate(frontier):
             for a in itertools.chain(older, frontier[:j]):
-                for c in intersect_layers(a, b):
+                for c in intersect_layers(a, b, meets):
                     if c not in layers:
                         new.add(c)
         older += frontier
         layers |= new
         frontier = sorted(new, key=Layer.sort_key)
     ordered = sorted(layers, key=Layer.sort_key)
-    # a < b needs rank a < rank b, and the order sorts by rank first
-    rank_list = [a.rank for a in ordered]
-    up = []
-    for i, a in enumerate(ordered):
-        mask = 1 << i
-        for j in range(i + 1, len(ordered)):
-            if rank_list[j] > rank_list[i] and layer_leq(a, ordered[j]):
-                mask |= 1 << j
-        up.append(mask)
-    return RankedPoset._from_masks(ordered, rank_list, up)
+    # a <= b iff a's lattice lies in b's and b's phase restricts to a's:
+    # per pair of lattices, each translate b of the larger one is looked
+    # up among the translates of the smaller one by its restricted phase
+    translates: dict[Sublattice, dict] = {}
+    for i, x in enumerate(ordered):
+        translates.setdefault(x.lattice, {})[x.phase] = i
+    up = [0] * len(ordered)
+    for low, below in translates.items():
+        for high, above in translates.items():
+            coords = _coordinates(low, high) if high.rank > low.rank else None
+            if coords is None:
+                continue
+            for phase, j in above.items():
+                i = below.get(_phase_sums(coords, phase))
+                if i is not None:
+                    up[i] |= 1 << j
+    return RankedPoset._from_masks(ordered, [x.rank for x in ordered], up)
 
 
 def name_layers(arr: ToricArrangement, poset: RankedPoset, given=None) -> dict:

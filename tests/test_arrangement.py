@@ -108,6 +108,19 @@ def test_layer_leq():
     assert not layer_leq(named["c"], named["L1"])
 
 
+def test_ambient_rank_mismatch_raises():
+    line = Layer.make(2, [[1, 0]], [0])
+    # equal but for the padding column
+    plane = Layer.make(3, [[1, 0, 0]], [0])
+    for a, b in [(Layer.whole_torus(2), Layer.whole_torus(3)), (line, plane),
+                 (line, Layer.whole_torus(3)), (Layer.whole_torus(2), plane)]:
+        for k1, k2 in [(a, b), (b, a)]:
+            with pytest.raises(ValueError, match="ambient rank"):
+                intersect_layers(k1, k2)
+            with pytest.raises(ValueError, match="ambient rank"):
+                layer_leq(k1, k2)
+
+
 def test_phase_of():
     named = running_named_layers()
     assert named["L2"].phase_of([0, 1, 0]) == Fraction(1, 3)

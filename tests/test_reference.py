@@ -372,16 +372,64 @@ def test_nested_sets_closed_under_subsets(name, selector):
                 assert y in p.join_set(t) and ref_is_nested(p, members, t, y), (ns, t)
 
 
-def test_each_unordered_pair_intersected_once(monkeypatch):
-    met = []
-    original = arrangement.intersect_layers
+def translates(rank, rows, q):
+    """Every layer on the lattice of ``rows`` with phases a/q."""
+    return [Layer.make(rank, rows, [Fraction(a, q) for a in nums])
+            for nums in itertools.product(range(q), repeat=len(rows))]
 
-    def counting(a, b):
+
+@st.composite
+def translate_arrangements(draw):
+    """Two or three characters in rank 2 or 3, with entries in [-1, 1],
+    each with every phase a/q, q in {2, 3}: many pairs of layers share a
+    lattice.  Larger entries or codimension make the oracle take seconds."""
+    rank = draw(st.sampled_from((2, 3)))
+    q = draw(st.sampled_from((2, 3)))
+    row = st.lists(st.integers(-1, 1), min_size=rank, max_size=rank)
+    lattices = {Sublattice.from_rows(rank, [r]) for r in draw(
+        st.lists(row.filter(any), min_size=2, max_size=3))}
+    assume(len(lattices) >= 2)
+    return ToricArrangement(rank, tuple(
+        k for lat in sorted(lattices, key=lambda l: l.basis)
+        for k in translates(rank, lat.basis, q)))
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(translate_arrangements())
+def test_translates_match_reference(arr):
+    # one dict across all pairs, as in poset_of_layers
+    meets = {}
+    layers = [Layer.whole_torus(arr.ambient_rank), *arr.subtori]
+    for a in layers:
+        for b in layers:
+            assert arrangement.intersect_layers(a, b, meets) == ref_intersect(a, b)
+    assert_same_poset(poset_of_layers(arr), ref_poset_of_layers(arr))
+
+
+def test_each_unordered_pair_intersected_once(monkeypatch):
+    original_intersect, original_snf = arrangement.intersect_layers, arrangement.snf
+
+    def counting(a, b, *args):
         met.append(frozenset((a, b)))
-        return original(a, b)
+        if a.lattice != b.lattice:
+            lattice_pairs.add((a.lattice, b.lattice))
+        return original_intersect(a, b, *args)
+
+    def counting_snf(rows, *args, **kwargs):
+        smith.append(tuple(rows))
+        return original_snf(rows, *args, **kwargs)
 
     monkeypatch.setattr(arrangement, "intersect_layers", counting)
-    p = poset_of_layers(a_n_c(3, 2))
-    layers = [x for x in p.labels if x != p.zero]
-    assert len(met) == len(set(met))
-    assert set(met) == {frozenset(pair) for pair in itertools.combinations(layers, 2)}
+    monkeypatch.setattr(arrangement, "snf", counting_snf)
+    translate_heavy = ToricArrangement(3, tuple(
+        translates(3, [[1, 0, 0]], 3) + translates(3, [[0, 1, 0]], 2)
+        + translates(3, [[1, 1, 1]], 3) + translates(3, [[0, 1, 0], [0, 0, 1]], 2)))
+    for arr in (a_n_c(3, 2), translate_heavy):
+        met, lattice_pairs, smith = [], set(), []
+        p = poset_of_layers(arr)
+        layers = [x for x in p.labels if x != p.zero]
+        assert len(met) == len(set(met))
+        assert set(met) == {frozenset(pair) for pair in itertools.combinations(layers, 2)}
+        # the Smith form runs at most once per ordered pair of distinct lattices
+        assert len(smith) == len(set(smith)) <= len(lattice_pairs)
