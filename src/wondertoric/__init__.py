@@ -51,6 +51,7 @@ from .polyring import (
     GroebnerBasis,
     Polynomial,
     VariableTable,
+    basis_witness,
     buchberger,
     graded_rank_oracle,
     groebner_witness,

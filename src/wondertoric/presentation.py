@@ -25,9 +25,9 @@ from .polyring import (
     GroebnerWitness,
     Polynomial,
     VariableTable,
+    basis_witness,
     buchberger,
     graded_rank_oracle,
-    groebner_witness,
 )
 from .poset import (
     BlowupPoset,
@@ -183,6 +183,7 @@ class ModelPresentation:
         self._alpha: list[Polynomial] | None = None
         self._alpha_verified: bool | None = None
         self._alpha_witness: GroebnerWitness | None = None
+        self._alpha_reducer: GroebnerBasis | None = None
 
     # -- naming ---------------------------------------------------------
 
@@ -358,8 +359,8 @@ class ModelPresentation:
 
     def verify_alpha(self) -> bool:
         if self._alpha_verified is None:
-            self._alpha_witness = groebner_witness(self.table, self.alpha(),
-                                                   self.degree_cap)
+            self._alpha_witness = basis_witness(self.alpha_reducer(),
+                                                self.degree_cap)
             self._alpha_verified = self._alpha_witness is None
         return self._alpha_verified
 
@@ -370,7 +371,11 @@ class ModelPresentation:
         return self._alpha_witness
 
     def alpha_reducer(self) -> GroebnerBasis:
-        return GroebnerBasis(self.table, self.alpha())
+        """The basis of alpha, built once: the pair sweep, the escalier and
+        the restriction map share it and its divisibility memo."""
+        if self._alpha_reducer is None:
+            self._alpha_reducer = GroebnerBasis(self.table, self.alpha())
+        return self._alpha_reducer
 
     # -- deletion / contraction -------------------------------------------
 
@@ -515,10 +520,10 @@ class ModelPresentation:
         gens = deleted.toric() + deleted.relations().all()
         max_deg = max(deleted.table.degree(g) for g in gens)
         cap = max(contracted.degree_cap, max_deg)
-        witness = groebner_witness(contracted.table, contracted.alpha(), cap)
+        reducer = contracted.alpha_reducer()
+        witness = basis_witness(reducer, cap)
         if witness is not None:
             raise AssertionError(f"contracted alpha failed verification: {witness}")
-        reducer = contracted.alpha_reducer()
         failures = []
         for g in gens:
             img = _substitute(deleted.table, contracted.table, images, g)

@@ -16,7 +16,10 @@ order, the same rank and torsion, and the same basis, term for term.
 
 ``TupleReducer`` is the reducer on dense exponent tuples that the packed
 monomials replaced; the packed ``GroebnerBasis.reduce`` must give the
-same normal forms and certificates.
+same normal forms and certificates.  ``PairSweep.reduce`` memoises the
+normal form of each monomial while every leading coefficient is 1; its
+reference, ``heap_pair_reduce``, builds the pair's polynomial and hands
+it to ``GroebnerBasis.reduce``.
 """
 
 from heapq import heapify, heappop, heappush
@@ -31,6 +34,7 @@ from wondertoric.fixtures import a22_fan, a_n_c, running_arrangement, running_fa
 from wondertoric.intlinalg import snf
 from wondertoric.polyring import (
     GroebnerBasis,
+    GroebnerWitness,
     PairSweep,
     Polynomial,
     VariableTable,
@@ -568,14 +572,20 @@ def test_escalier_weights_and_unit_leads():
 # -- the packed reducer against the tuple reducer ------------------------------
 
 
+def pair_polynomial(basis, pair):
+    """The S- or GCD-polynomial of a ``pairs_with`` pair, as a Polynomial."""
+    _, i, j, kind = pair
+    make = _s_pair if kind == "S" else _gcd_pair
+    return make(basis.table, basis.elements[i], (basis._lm[i], basis._lc[i]),
+                basis.elements[j], (basis._lm[j], basis._lc[j]))
+
+
 def alpha_pairs(basis, cap):
-    """The S- and GCD-polynomials the alpha sweep reduces."""
+    """The pairs the alpha sweep reduces, each with its polynomial."""
     sweep = PairSweep(basis, cap)
     for j in range(len(basis)):
-        for _, i, _, kind in sweep.pairs_with(j):
-            make = _s_pair if kind == "S" else _gcd_pair
-            yield make(basis.table, basis.elements[i], (basis._lm[i], basis._lc[i]),
-                       basis.elements[j], (basis._lm[j], basis._lc[j]))
+        for pair in sweep.pairs_with(j):
+            yield pair, pair_polynomial(basis, pair)
 
 
 @pytest.fixture(scope="module", params=[("min", 2220), ("max", 3964)],
@@ -590,7 +600,7 @@ def test_reduce_matches_tuple_reducer_on_alpha_pairs(running):
     pres, reductions = running
     basis = GroebnerBasis(pres.table, pres.alpha())
     reference = TupleReducer(basis)
-    pairs = list(alpha_pairs(basis, pres.degree_cap))
+    pairs = [f for _, f in alpha_pairs(basis, pres.degree_cap)]
     assert len(pairs) == reductions
     for f in pairs:
         nf, cert = basis.reduce(f, certificate=True)
@@ -612,27 +622,131 @@ def test_reduce_matches_tuple_reducer_on_weighted_tables(basis_poly):
             == TupleReducer(basis).reduce(f, certificate=True))
 
 
-def test_witness_matches_tuple_reducer_on_broken_alpha(running, monkeypatch):
+def tuple_witness(table, polys, cap):
+    """The first failing pair as ``groebner_witness`` names it, found by
+    reducing each alpha pair's polynomial with ``TupleReducer``."""
+    basis = GroebnerBasis(table, polys)
+    reference = TupleReducer(basis)
+    name = table.poly_name
+    for (_, i, j, kind), f in alpha_pairs(basis, cap):
+        nf = reference.reduce(f)
+        if nf:
+            return GroebnerWitness(kind, name(basis.elements[i]),
+                                   name(basis.elements[j]), name(nf))
+    return None
+
+
+def test_witness_matches_tuple_reducer_on_broken_alpha(running):
     # drop one of the first four elements of the toric basis that are not
     # monomials (linear forms and a quadric on running): alpha is then no
     # Groebner basis, and the first failing pair must be the same, with
-    # the same normal form, under either reducer
+    # the same normal form, as the tuple reducer finds
     pres, _ = running
     table, cap = pres.table, pres.degree_cap
     dropped = [g for g in pres.toric_gb().elements if len(g.terms) > 1][:4]
     broken = [[f for f in pres.alpha() if f != g] for g in dropped]
     got = [str(groebner_witness(table, alpha, cap)) for alpha in broken]
-    reducers = {}
-
-    def tuple_reduce(basis, f, certificate=False):
-        if basis not in reducers:
-            reducers[basis] = TupleReducer(basis)
-        return reducers[basis].reduce(f, certificate)
-
-    monkeypatch.setattr(GroebnerBasis, "reduce", tuple_reduce)
-    want = [str(groebner_witness(table, alpha, cap)) for alpha in broken]
+    want = [str(tuple_witness(table, alpha, cap)) for alpha in broken]
     assert got == want
     assert "None" not in got
+
+
+# -- the sweep's memoised normal forms against GroebnerBasis.reduce ----------
+
+
+def heap_pair_reduce(sweep, pair):
+    """The reference for ``PairSweep.reduce``: build the pair's polynomial
+    and reduce it with ``GroebnerBasis.reduce``."""
+    return sweep.basis.reduce(pair_polynomial(sweep.basis, pair))
+
+
+def assert_pairs_match_heap(basis, cap):
+    """Every pair of the sweep reduces to the heap's normal form, term for
+    term; returns how many of them are nonzero."""
+    sweep = PairSweep(basis, cap)
+    nonzero = 0
+    for j in range(len(basis)):
+        for pair in sweep.pairs_with(j):
+            nf = sweep.reduce(pair)
+            want = heap_pair_reduce(sweep, pair)
+            assert list(nf.terms.items()) == list(want.terms.items()), pair
+            nonzero += bool(nf)
+    return nonzero
+
+
+def test_pair_reduce_matches_heap_on_models(model):
+    # alpha, and alpha less one of the first three toric elements that are
+    # not monomials, where some pairs have nonzero normal forms
+    dropped = [g for g in model.toric_gb().elements if len(g.terms) > 1][:3]
+    alphas = [model.alpha()] + [[f for f in model.alpha() if f != g]
+                                for g in dropped]
+    nonzero = [assert_pairs_match_heap(GroebnerBasis(model.table, alpha),
+                                       model.degree_cap) for alpha in alphas]
+    assert nonzero[0] == 0 and len(nonzero) == 4 and all(nonzero[1:]), nonzero
+
+
+@st.composite
+def sweep_bases(draw):
+    """A weighted basis, half the time with every leading coefficient set
+    to 1 (the memo route), and a degree cap from 0 to 8."""
+    basis, _ = draw(weighted_bases())
+    if draw(st.booleans()):
+        basis = GroebnerBasis(basis.table, [
+            Polynomial({**f.terms, lm: 1})
+            for f, lm in zip(basis.elements, basis._lm)])
+    return basis, draw(st.integers(0, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_bases())
+def test_pair_reduce_matches_heap_on_weighted_tables(basis_cap):
+    assert_pairs_match_heap(*basis_cap)
+
+
+def test_buchberger_forgets_normal_forms_when_the_basis_grows(monkeypatch):
+    # x > y > z.  The first S-pair reduces to x*z - 2*z^2, whose lead its
+    # reduction memoised as irreducible; the next pair, of the same degree,
+    # meets x*z again, which the new element reduces.  Later the lead 5*z^3
+    # sends the sweep to GroebnerBasis.reduce
+    t = VariableTable("xyz", (1,) * 3, "xyz", ("c",) * 3)
+    x, y, z = (t.variable(v) for v in "xyz")
+    m = t.mono_mul
+    gens = [t.poly({m(x, x): 1, m(x, z): 1, m(z, z): -1}),
+            t.poly({m(x, x): 1, m(z, z): 1}),
+            t.poly({m(x, x): 1, m(x, y): -1, m(z, z): -1})]
+    changed = []
+    reduce = PairSweep.reduce
+
+    def spy(sweep, pair):
+        basis = sweep.basis
+        if sweep._normal and len(basis) != sweep._size:
+            changed.extend(
+                key for key, nf in sweep._normal.items()
+                if basis.reduce(Polynomial({-key: 1})).terms != {-m: c for m, c in nf})
+        return reduce(sweep, pair)
+
+    monkeypatch.setattr(PairSweep, "reduce", spy)
+    basis = buchberger(t, gens, 4)
+    assert changed
+    assert [t.poly_name(f) for f in basis.elements] == [
+        "x*z-2*z^2", "x*y+2*z^2", "x^2+z^2", "5*z^3", "y*z^2-4*z^3"]
+    got = term_lists(basis)
+    monkeypatch.setattr(PairSweep, "reduce", heap_pair_reduce)
+    assert got == term_lists(buchberger(t, gens, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_inputs())
+def test_buchberger_matches_heap_route_on_weighted_tables(inputs):
+    table, gens, cap = inputs
+    got = term_lists(buchberger(table, gens, cap))
+    original = PairSweep.reduce
+    PairSweep.reduce = heap_pair_reduce
+    try:
+        want = term_lists(buchberger(table, gens, cap))
+    finally:
+        PairSweep.reduce = original
+    assert got == want
 
 
 @st.composite
