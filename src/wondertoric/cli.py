@@ -106,17 +106,6 @@ def parse_fan(path: str, warnings: list[str]) -> Fan:
         raise InputError(str(exc)) from None
 
 
-def parse_inputs(arr_path: str, fan_path: str,
-                 warnings: list[str]) -> tuple[ToricArrangement, Fan]:
-    arr = parse_arrangement(arr_path, warnings)
-    fan = parse_fan(fan_path, warnings)
-    if arr.ambient_rank != fan.ambient_rank:
-        raise InputError(
-            f"ambient rank mismatch: arrangement has {arr.ambient_rank}, "
-            f"fan has {fan.ambient_rank}")
-    return arr, fan
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -245,7 +234,9 @@ def _dispatch(args, warnings) -> dict:
         raise InputError("this command requires --fan")
     fan = parse_fan(args.fan, warnings)
     if arrangement.ambient_rank != fan.ambient_rank:
-        raise InputError("ambient rank mismatch between arrangement and fan")
+        raise InputError(
+            f"ambient rank mismatch: arrangement has {arrangement.ambient_rank}, "
+            f"fan has {fan.ambient_rank}")
     if not is_smooth(fan):
         raise InputError("the fan is not smooth")
 

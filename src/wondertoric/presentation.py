@@ -581,7 +581,6 @@ class RestrictionReport:
 
 def presentation_from_arrangement(arrangement, fan: Fan, selector="min",
                                   order=None, degree_cap=None,
-                                  require_smooth: bool = True,
                                   layer_names: dict | None = None) -> ModelPresentation:
     """Wire an arrangement and a fan into a model presentation.
 
@@ -590,7 +589,7 @@ def presentation_from_arrangement(arrangement, fan: Fan, selector="min",
     ``layer_names`` may name derived layers; unnamed ones get generated
     W<rank>.<k> labels.
     """
-    if require_smooth and not is_smooth(fan):
+    if not is_smooth(fan):
         raise ValueError("the fan must be smooth")
     poset = poset_of_layers(arrangement)
     building = make_building_set(poset, select_building(poset, selector), order)

@@ -26,9 +26,8 @@ def run_cli(capsys, argv):
 
 def test_parse_bundled_fixtures(data_dir):
     warnings = []
-    arr, fan = cli.parse_inputs(fixture_path(data_dir, "running.arr.json"),
-                                fixture_path(data_dir, "running.fan.json"),
-                                warnings)
+    arr = cli.parse_arrangement(fixture_path(data_dir, "running.arr.json"), warnings)
+    fan = cli.parse_fan(fixture_path(data_dir, "running.fan.json"), warnings)
     assert len(arr.subtori) == 3
     assert fan.nrays == 14
     assert not warnings
@@ -62,13 +61,15 @@ def test_nonprimitive_ray_warns(tmp_path):
     assert warnings and "primitive" in warnings[0]
 
 
-def test_rank_mismatch(tmp_path, data_dir):
+def test_rank_mismatch(tmp_path, capsys, data_dir):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps({
         "ambient_rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}))
-    with pytest.raises(cli.InputError):
-        cli.parse_inputs(fixture_path(data_dir, "running.arr.json"),
-                         str(path), [])
+    code, _, err = run_cli(capsys, [
+        "toric-betti", "--arrangement", fixture_path(data_dir, "running.arr.json"),
+        "--fan", str(path)])
+    assert code == 2
+    assert "ambient rank mismatch: arrangement has 3, fan has 1" in err
 
 
 def test_building_min_running(capsys, data_dir):
@@ -242,8 +243,8 @@ def test_phase_outside_unit_interval_warns(tmp_path, data_dir):
         cli.parse_arrangement(str(path), warnings)
         assert warnings == (["phases of 'P' reduced modulo 1"] if warns else [])
     warnings = []
-    cli.parse_inputs(fixture_path(data_dir, "a22.arr.json"),
-                     fixture_path(data_dir, "a22.fan.json"), warnings)
+    cli.parse_arrangement(fixture_path(data_dir, "a22.arr.json"), warnings)
+    cli.parse_fan(fixture_path(data_dir, "a22.fan.json"), warnings)
     assert not warnings
 
 
@@ -283,7 +284,8 @@ def test_low_cap_names_the_monomials_that_do_not_vanish(capsys, data_dir):
                                  "c7*c1^3, c1^4")
 
 
-# Reports pinned before monomials were packed into ints: every byte of the
+# Reports pinned before monomials were packed into ints (the blowup reports
+# before the blowup poset was ordered by its facets): every byte of the
 # --deterministic JSON, escalier and admissible basis order included, must
 # stay as it was.  Each file is named <fixture>-<selector>-<command>.json.
 GOLDEN = sorted(Path(__file__).with_name("data").glob("*.json"))
@@ -306,4 +308,4 @@ def test_golden_reports_cover_both_fixtures():
         for fixture, selectors in (("running", ("min", "minwc", "max")),
                                    ("a22", ("min", "max")))
         for selector in selectors
-        for command in ("model-betti", "admissible", "verify")}
+        for command in ("model-betti", "admissible", "verify", "blowup")}

@@ -11,6 +11,8 @@ labels, in the same order, with the same ranks and the same order.
 The building-set and nested-set oracles enumerate every subset and then
 filter it; the library grows sets depth-first and cuts a branch as soon
 as it fails, and must give the same sets, nested sets in the same order.
+The blowup-poset oracle compares every pair of faces; the library orders
+the faces by their facets alone.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from wondertoric.fixtures import a_n_c, fig5_poset, running_poset
 from wondertoric.intlinalg import Sublattice, hnf, is_saturated, snf
 from wondertoric.poset import (
     _BLOWN,
+    BlowupPoset,
     NestedSet,
     RankedPoset,
     _interval_product_iso,
@@ -40,6 +43,7 @@ from wondertoric.poset import (
     minimal_building_set,
     minimal_well_connected,
     nested_sets,
+    select_building,
 )
 
 # -- reference oracles -----------------------------------------------------
@@ -217,6 +221,21 @@ def ref_nested_sets(p, building):
     out.sort(key=lambda ns: (len(ns.members), ns.key(member_pos)[0],
                              _label_sort_key(ns.x)))
     return out
+
+
+def ref_blowup_poset(p, building):
+    """The face poset of the nested sets and its projection, comparing
+    every pair of faces: (T, y) <= (S, x) iff T is in S and y is the join
+    of T in [0, x]."""
+    member_pos = {g: i for i, g in enumerate(building.order)}
+    faces = [NestedSet(frozenset(), p.zero), *nested_sets(p, building)]
+    pairs = [(a.key(member_pos), b.key(member_pos))
+             for a in faces for b in faces
+             if a.members <= b.members
+             and p.join_in_interval(list(a.members), b.x) == a.x]
+    labels = [ns.key(member_pos) for ns in faces]
+    ranks = {ns.key(member_pos): len(ns) for ns in faces}
+    return RankedPoset(labels, ranks, pairs), {ns.key(member_pos): ns.x for ns in faces}
 
 
 # -- comparisons -------------------------------------------------------------
@@ -433,3 +452,50 @@ def test_each_unordered_pair_intersected_once(monkeypatch):
         assert set(met) == {frozenset(pair) for pair in itertools.combinations(layers, 2)}
         # the Smith form runs at most once per ordered pair of distinct lattices
         assert len(smith) == len(set(smith)) <= len(lattice_pairs)
+
+
+def assert_blowup_poset_agrees(p, selector):
+    building = make_building_set(p, select_building(p, selector))
+    bl = BlowupPoset(p, building)
+    ref, ref_pi = ref_blowup_poset(p, building)
+    assert_same_poset(bl.poset, ref)
+    assert bl.poset.covers() == ref.covers()
+    assert bl.pi == ref_pi
+
+
+@pytest.mark.parametrize("name, selector", [
+    *((name, sel) for name in BASE_POSETS for sel in ("min", "minwc", "max")),
+    ("A(3,3)", "max"), ("A(4,2)", "min"), ("A(4,2)", "minwc"), ("A(4,2)", "max")])
+def test_blowup_poset_matches_reference(name, selector):
+    n_c = {"A(3,3)": (3, 3), "A(4,2)": (4, 2)}.get(name)
+    p = poset_of_layers(a_n_c(*n_c)) if n_c else BASE_POSETS[name]()
+    assert_blowup_poset_agrees(p, selector)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(torsion_arrangements(), st.sampled_from(("min", "minwc", "max")))
+def test_blowup_poset_matches_reference_random(arr, selector):
+    p = poset_of_layers(arr)
+    assume(len(p) - 1 <= 16)
+    assert_blowup_poset_agrees(p, selector)
+
+
+def test_missing_face_is_an_error(monkeypatch):
+    """A face of a nested set that ``nested_sets`` did not list is raised,
+    naming both faces, not skipped."""
+    p = running_poset()
+    building = make_building_set(p, minimal_building_set(p))
+    faces = nested_sets(p, building)
+    top = faces[-1]
+    g = next(iter(top.members))
+    rest = top.members - {g}
+    dropped = NestedSet(rest, p.join_in_interval(list(rest), top.x))
+    assert dropped in faces
+    monkeypatch.setattr(poset_module, "nested_sets",
+                        lambda *args: [ns for ns in faces if ns != dropped])
+    member_pos = {h: i for i, h in enumerate(building.order)}
+    with pytest.raises(AssertionError) as err:
+        BlowupPoset(p, building)
+    assert str(err.value) == (f"face {dropped.key(member_pos)!r} of the nested set "
+                              f"{top.key(member_pos)!r} is not nested")
