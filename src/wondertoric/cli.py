@@ -7,9 +7,10 @@ arrangement: {"ambient_rank": n,
               "subtori": [{"label": str, "chars": [[int]], "phase": ["p/q"]}]}
 fan:         {"ambient_rank": n, "rays": [[int]], "max_cones": [[int]]}
 
-Phases must be exact fractions ("1/3", "0"); decimals are rejected.  Rays
-are normalized to primitive vectors with a warning.  Exit codes: 0 ok,
-1 verification failure, 2 input error.
+Phases must be exact fractions ("1/3", "0"); decimals are rejected.  Every
+other number must be a JSON integer; a float, string or boolean is an
+input error.  Rays are normalized to primitive vectors with a warning.
+Exit codes: 0 ok, 1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from . import admissible
 from .arrangement import Layer, ToricArrangement, name_layers, poset_of_layers
-from .fan import Fan, is_smooth, make_fan
+from .fan import Fan, _primitive, is_smooth, make_fan
 from .poset import (
     blowup_building,
     is_building_set,
@@ -36,6 +37,13 @@ from .presentation import ModelPresentation
 
 class InputError(Exception):
     pass
+
+
+def _int(value, where: str) -> int:
+    """``value`` if it is a JSON integer (not a float, string or boolean)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{where} must be an integer, not {value!r}")
+    return value
 
 
 def _parse_phase(value) -> Fraction:
@@ -56,14 +64,15 @@ def parse_arrangement(path: str, warnings: list[str]) -> ToricArrangement:
     for key in ("ambient_rank", "subtori"):
         if key not in data:
             raise InputError(f"arrangement file is missing the key {key!r}")
-    n = int(data["ambient_rank"])
+    n = _int(data["ambient_rank"], "ambient_rank")
     layers, names = [], []
     for i, entry in enumerate(data["subtori"]):
         for key in ("chars", "phase"):
             if key not in entry:
                 raise InputError(f"subtorus #{i} is missing the key {key!r}")
         label = str(entry.get("label", f"S{i}"))
-        chars = [[int(x) for x in row] for row in entry["chars"]]
+        chars = [[_int(x, f"a character of subtorus {label!r}") for x in row]
+                 for row in entry["chars"]]
         phases = [_parse_phase(v) for v in entry["phase"]]
         if len(phases) != len(chars):
             raise InputError(f"subtorus {label!r}: one phase per character row")
@@ -84,22 +93,18 @@ def parse_fan(path: str, warnings: list[str]) -> Fan:
     for key in ("ambient_rank", "rays", "max_cones"):
         if key not in data:
             raise InputError(f"fan file is missing the key {key!r}")
-    n = int(data["ambient_rank"])
+    n = _int(data["ambient_rank"], "ambient_rank")
     rays = []
-    from math import gcd
-
     for row in data["rays"]:
-        vec = [int(x) for x in row]
-        g = 0
-        for x in vec:
-            g = gcd(g, abs(x))
-        if g == 0:
-            raise InputError("fan contains a zero ray")
-        if g != 1:
+        vec = tuple(_int(x, f"ray {row}") for x in row)
+        try:
+            rays.append(_primitive(vec))
+        except ValueError:
+            raise InputError("fan contains a zero ray") from None
+        if rays[-1] != vec:
             warnings.append(f"ray {row} normalized to a primitive vector")
-            vec = [x // g for x in vec]
-        rays.append(tuple(vec))
-    cones = [frozenset(int(i) for i in c) for c in data["max_cones"]]
+    cones = [frozenset(_int(i, f"max_cones entry {c}") for i in c)
+             for c in data["max_cones"]]
     try:
         return make_fan(n, rays, cones)
     except ValueError as exc:

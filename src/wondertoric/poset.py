@@ -1,10 +1,11 @@
 """Ranked posets, building sets, nested sets and combinatorial blowups.
 
-Posets here are finite, come with a minimum and a monotone rank function,
-and joins/meets are *sets* of minimal upper (maximal lower) bounds, since
-least upper bounds need not exist.  A poset is a local lattice when every
-lower interval is a lattice; that is the class all the heavier machinery
-(building sets, nested sets, blowups) operates on.
+Posets here are finite, come with a minimum and a rank rising strictly
+along the order, and joins/meets are *sets* of minimal upper (maximal
+lower) bounds, since least upper bounds need not exist.  A poset is a
+local lattice when every lower interval is a lattice; that is the class
+all the heavier machinery (building sets, nested sets, blowups) operates
+on.
 
 Elements are arbitrary hashable labels.  The order is stored as one
 bitmask per element, so an interval query is a few big-integer operations;
@@ -15,11 +16,12 @@ thousands (12,242 faces for A(5,2) under the maximal building set).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 
 class RankedPoset:
-    """Finite poset with minimum and a monotone rank function."""
+    """Finite poset with minimum and a rank rising strictly along the order."""
 
     __slots__ = ("labels", "index", "rank_list", "_up", "_down", "n", "zero")
 
@@ -27,7 +29,8 @@ class RankedPoset:
         """Build from order pairs; the reflexive-transitive closure is implied.
 
         ``leq_pairs`` is an iterable of (x, y) with x <= y, so the cover
-        relations alone suffice.
+        relations alone suffice.  The rank must rise strictly along the
+        order: x < y in ``leq_pairs`` with rank(x) >= rank(y) is an error.
         """
         labels = tuple(labels)
         index = {x: i for i, x in enumerate(labels)}
@@ -53,21 +56,20 @@ class RankedPoset:
         self.index = index
         if len(index) != n:
             raise ValueError("duplicate labels")
-        self.rank_list = tuple(int(r) for r in rank_list)
-        # transitive closure (iterate to fixpoint; n is small)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                m = acc
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+        self.rank_list = rank_list = tuple(int(r) for r in rank_list)
+        # everything above i has a larger rank, so in descending rank its
+        # up-set is closed before i's: one pass closes the order, and no
+        # cycle can pass the rank check
+        for i in sorted(range(n), key=rank_list.__getitem__, reverse=True):
+            acc, m = up[i], up[i] & ~(1 << i)
+            while m:
+                j = (m & -m).bit_length() - 1
+                m &= m - 1
+                if rank_list[j] <= rank_list[i]:
+                    raise ValueError("rank function is not strictly monotone: "
+                                     f"{labels[i]} < {labels[j]}")
+                acc |= up[j]
+            up[i] = acc
         self._up = up
         down = [0] * n
         for i in range(n):
@@ -77,22 +79,12 @@ class RankedPoset:
                 m &= m - 1
                 down[j] |= 1 << i
         self._down = down
-        # i <= j <= i with j != i would leave bit j in both masks of i
-        for i in range(n):
-            if up[i] & down[i] != 1 << i:
-                raise ValueError("order is not antisymmetric")
         minima = [i for i in range(n) if down[i] == 1 << i]
         if len(minima) != 1:
             raise ValueError("poset must have a unique minimum")
         self.zero = labels[minima[0]]
-        if self.rank_list[minima[0]] != 0:
+        if rank_list[minima[0]] != 0:
             raise ValueError("minimum must have rank 0")
-        below = {}  # rank -> mask of the elements of smaller rank
-        for r in sorted(set(self.rank_list)):
-            below[r] = sum(1 << i for i in range(n) if self.rank_list[i] < r)
-        for i in range(n):
-            if up[i] & below[self.rank_list[i]]:
-                raise ValueError("rank function is not monotone")
 
     # -- basic queries -------------------------------------------------
 
@@ -179,11 +171,7 @@ class RankedPoset:
     def join_in_interval(self, elems, top):
         """The join of ``elems`` inside the lattice [0, top]; None if absent."""
         ub = self.join_set(elems, within=top)
-        if len(ub) == 1:
-            return ub[0]
-        if not elems:
-            return self.zero
-        return None
+        return ub[0] if len(ub) == 1 else None
 
     def restrict(self, keep, rank_offset: int = 0) -> "RankedPoset":
         keep = list(keep)
@@ -243,21 +231,11 @@ class BuildingSet:
 
 
 def default_order(p: RankedPoset, members) -> tuple:
-    """Deterministic linear refinement of the opposite partial order.
-
-    Greedy topological sort picking, at each step, the first maximal
-    remaining element under (decreasing rank, decreasing label key).
-    """
-    pending = sorted(members, key=_label_sort_key, reverse=True)
-    pending.sort(key=lambda x: -p.rank(x))
-    out = []
-    while pending:
-        for i, x in enumerate(pending):
-            if not any(p.lt(x, y) for y in pending if y is not x):
-                out.append(pending.pop(i))
-                break
-        else:  # pragma: no cover - partial orders always have maximal elements
-            raise RuntimeError("cyclic order")
+    """Deterministic linear refinement of the opposite partial order:
+    decreasing rank, then decreasing label key (ranks rise strictly along
+    the order, so whatever lies above a member comes before it)."""
+    out = sorted(members, key=_label_sort_key, reverse=True)
+    out.sort(key=lambda x: -p.rank(x))
     return tuple(out)
 
 
@@ -291,31 +269,30 @@ def g_factors(p: RankedPoset, members, x) -> set:
 
 
 def _interval_product_iso(p: RankedPoset, factors, x) -> bool:
-    """Check that joining gives an isomorphism prod [0,x_j] -> [0,x]."""
-    factors = list(factors)
-    intervals = [p.downset(f) for f in factors]
-    size = 1
-    for iv in intervals:
-        size *= len(iv)
-    target = p.downset(x)
-    if size != len(target):
+    """Check that joining gives an isomorphism prod [0, f] -> [0, x] for
+    factors f <= x.
+
+    It does exactly when the sizes agree and every y <= x has a unique meet
+    with each f and is the join in [0, x] of those meets: y -> (y meet f)_f
+    is then injective, so a bijection, joining is its inverse, and both
+    maps are monotone.
+    """
+    down, up = p._down, p._up
+    fs, top = [p.index[f] for f in factors], p._down[p.index[x]]
+    if math.prod(down[f].bit_count() for f in fs) != top.bit_count():
         return False
-    image = {}
-    for combo in itertools.product(*intervals):
-        nonzero = [c for c in combo if c != p.zero]
-        j = p.join_in_interval(nonzero, x)
-        if j is None:
-            return False
-        image[combo] = j
-    if len(set(image.values())) != size:
-        return False
-    # order isomorphism: componentwise order must match the interval order
-    combos = list(image)
-    for a in combos:
-        for b in combos:
-            comp = all(p.leq(u, v) for u, v in zip(a, b))
-            if comp != p.leq(image[a], image[b]):
+    m = top
+    while m:
+        y = (m & -m).bit_length() - 1
+        m &= m - 1
+        bound = top  # the upper bounds in [0, x] of the meets of y
+        for f in fs:
+            meet = p._maximal(down[y] & down[f])
+            if len(meet) != 1:
                 return False
+            bound &= up[p.index[meet[0]]]
+        if bound & ~up[y]:  # y is not their least upper bound
+            return False
     return True
 
 
@@ -511,9 +488,6 @@ class BlowupPoset:
                 if face_key not in self.nested_by_key:
                     raise AssertionError(
                         f"face {face_key!r} of the nested set {key!r} is not nested")
-                # pi must be order-preserving
-                if not base.leq(self.pi[face_key], ns.x):
-                    raise AssertionError("projection failed to preserve order")
                 facets.append((face_key, key))
         self.poset = RankedPoset(
             self.nested_by_key,

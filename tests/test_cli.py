@@ -61,6 +61,36 @@ def test_nonprimitive_ray_warns(tmp_path):
     assert warnings and "primitive" in warnings[0]
 
 
+@pytest.mark.parametrize("file, keys, value, field", [
+    ("arr", ("subtori", 0, "chars"), [[1.5, 0]], "a character of subtorus 'H1'"),
+    ("arr", ("subtori", 0, "chars"), [[1, "a"]], "a character of subtorus 'H1'"),
+    ("arr", ("subtori", 0, "chars"), [[True, 0]], "a character of subtorus 'H1'"),
+    ("arr", ("ambient_rank",), "x", "ambient_rank"),
+    ("fan", ("ambient_rank",), 2.0, "ambient_rank"),
+    ("fan", ("rays", 0), [0, 1.0], "ray [0, 1.0]"),
+    ("fan", ("max_cones", 0), [0, 1.9], "max_cones entry [0, 1.9]"),
+], ids=["float-char", "string-char", "bool-char", "string-arr-rank",
+        "float-fan-rank", "float-ray", "float-cone-index"])
+def test_non_integer_input_is_an_input_error(tmp_path, capsys, data_dir, file, keys,
+                                             value, field):
+    """A number that is not a JSON integer is named and exits 2, never
+    truncated and never a traceback."""
+    paths = {}
+    for kind in ("arr", "fan"):
+        data = json.loads((data_dir / f"a22.{kind}.json").read_text())
+        if kind == file:
+            target = data
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        paths[kind] = tmp_path / f"a22.{kind}.json"
+        paths[kind].write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, [
+        "toric-betti", "--arrangement", str(paths["arr"]), "--fan", str(paths["fan"])])
+    assert code == 2
+    assert f"input error: {field} must be an integer, not " in err
+
+
 def test_rank_mismatch(tmp_path, capsys, data_dir):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps({

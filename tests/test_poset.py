@@ -274,18 +274,21 @@ def test_a1c_already_well_connected():
 
 @pytest.mark.parametrize("labels, ranks, pairs, error", [
     (["0", "x", "y"], {"0": 0, "x": 1, "y": 1},
-     [("0", "x"), ("x", "y"), ("y", "x")], "antisymmetric"),
+     [("0", "x"), ("x", "y"), ("y", "x")], "not strictly monotone"),
     (["0", "1", "x"], {"0": 0, "1": 0, "x": 1}, [("0", "x"), ("1", "x")],
      "unique minimum"),
     (["0", "x"], {"0": 1, "x": 2}, [("0", "x")], "minimum must have rank 0"),
     (["0", "x", "y"], {"0": 0, "x": 2, "y": 1}, [("0", "x"), ("x", "y")],
-     "not monotone"),
+     "not strictly monotone: x < y"),
     (["0", "x", "x"], {"0": 0, "x": 1}, [("0", "x")], "duplicate labels"),
     # x <= y <= z <= x is a cycle only after the transitive closure
     (["0", "x", "y", "z"], {"0": 0, "x": 1, "y": 1, "z": 1},
-     [("0", "x"), ("x", "y"), ("y", "z"), ("z", "x")], "antisymmetric"),
+     [("0", "x"), ("x", "y"), ("y", "z"), ("z", "x")], "not strictly monotone"),
+    # a partial order, but its rank does not rise from x to y
+    (["0", "x", "y"], {"0": 0, "x": 1, "y": 1}, [("0", "x"), ("x", "y")],
+     "not strictly monotone: x < y"),
 ], ids=["2-cycle", "two-minima", "minimum-rank", "non-monotone", "duplicates",
-        "3-cycle"])
+        "3-cycle", "equal-ranks"])
 def test_ranked_poset_rejects(labels, ranks, pairs, error):
     with pytest.raises(ValueError, match=error):
         RankedPoset(labels, ranks, pairs)

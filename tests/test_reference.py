@@ -13,6 +13,12 @@ filter it; the library grows sets depth-first and cuts a branch as soon
 as it fails, and must give the same sets, nested sets in the same order.
 The blowup-poset oracle compares every pair of faces; the library orders
 the faces by their facets alone.
+
+The order oracles close relations by iterating to a fixpoint, sort the
+members of a building set by a greedy topological sort, and test an
+interval product by listing the product and comparing every pair of its
+tuples.  The library closes the order in one pass down the ranks, sorts
+by rank alone and tests a product by meets.
 """
 
 import itertools
@@ -25,7 +31,13 @@ from hypothesis import strategies as st
 from wondertoric import arrangement
 from wondertoric import poset as poset_module
 from wondertoric.arrangement import Layer, ToricArrangement, poset_of_layers
-from wondertoric.fixtures import a_n_c, fig5_poset, running_poset
+from wondertoric.fixtures import (
+    a_n_c,
+    boolean_poset,
+    fig5_poset,
+    running_poset,
+    three_atoms_two_tops,
+)
 from wondertoric.intlinalg import Sublattice, hnf, is_saturated, snf
 from wondertoric.poset import (
     _BLOWN,
@@ -35,6 +47,8 @@ from wondertoric.poset import (
     _interval_product_iso,
     _label_sort_key,
     blowup_at,
+    default_order,
+    g_factors,
     is_building_set,
     is_well_connected,
     iterated_blowup,
@@ -138,6 +152,72 @@ def is_antichain(p, combo):
                    for a, b in itertools.combinations(combo, 2))
 
 
+def ref_closed_masks(up):
+    """The up-masks closed by OR-ing into each the up-masks of the elements
+    in it until nothing changes, and the down-masks read off them."""
+    up = list(up)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(up)):
+            acc = up[i]
+            for j in range(len(up)):
+                if acc >> j & 1:
+                    acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    down = [sum(1 << i for i in range(len(up)) if up[i] >> j & 1)
+            for j in range(len(up))]
+    return up, down
+
+
+def ref_default_order(p, members):
+    """Greedy topological sort: at each step the first maximal remaining
+    member under (decreasing rank, decreasing label key)."""
+    pending = sorted(members, key=_label_sort_key, reverse=True)
+    pending.sort(key=lambda x: -p.rank(x))
+    out = []
+    while pending:
+        for i, x in enumerate(pending):
+            if not any(p.lt(x, y) for y in pending if y is not x):
+                out.append(pending.pop(i))
+                break
+        else:
+            raise RuntimeError("cyclic order")
+    return tuple(out)
+
+
+def ref_interval_product_iso(p, factors, x):
+    """Joining is an isomorphism prod [0, f] -> [0, x]: the join of every
+    tuple exists in [0, x], the joins are distinct, and every pair of tuples
+    compares componentwise as their joins compare."""
+    factors = list(factors)
+    intervals = [p.downset(f) for f in factors]
+    size = 1
+    for iv in intervals:
+        size *= len(iv)
+    target = p.downset(x)
+    if size != len(target):
+        return False
+    image = {}
+    for combo in itertools.product(*intervals):
+        nonzero = [c for c in combo if c != p.zero]
+        j = p.join_in_interval(nonzero, x)
+        if j is None:
+            return False
+        image[combo] = j
+    if len(set(image.values())) != size:
+        return False
+    combos = list(image)
+    for a in combos:
+        for b in combos:
+            comp = all(p.leq(u, v) for u, v in zip(a, b))
+            if comp != p.leq(image[a], image[b]):
+                return False
+    return True
+
+
 def ref_minimal_building_set(p):
     out = set()
     for x in p.labels:
@@ -154,7 +234,7 @@ def ref_minimal_building_set(p):
                     size *= len(p.downset(c))
                 if size != len(p.downset(x)):
                     continue
-                if _interval_product_iso(p, combo, x):
+                if ref_interval_product_iso(p, combo, x):
                     decomposable = True
                     break
             if decomposable:
@@ -499,3 +579,104 @@ def test_missing_face_is_an_error(monkeypatch):
         BlowupPoset(p, building)
     assert str(err.value) == (f"face {dropped.key(member_pos)!r} of the nested set "
                               f"{top.key(member_pos)!r} is not nested")
+
+
+@st.composite
+def strictly_ranked_relations(draw):
+    """Labels, ranks and relation pairs (i, j) with rank(i) < rank(j): v0 of
+    rank 0 and up to nine more elements of rank 1 to 4.  v0 is given below
+    only the elements with nothing given below them, so the closure has to
+    carry it under the rest."""
+    n = draw(st.integers(1, 10))
+    ranks = [0] + draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))
+    rising = [(i, j) for i in range(1, n) for j in range(1, n) if ranks[i] < ranks[j]]
+    pairs = draw(st.lists(st.sampled_from(rising), unique=True)) if rising else []
+    pairs += [(0, j) for j in range(1, n) if all(b != j for _, b in pairs)]
+    return [f"v{i}" for i in range(n)], ranks, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(strictly_ranked_relations(), st.data())
+def test_one_pass_closure_matches_fixpoint(relations, data):
+    labels, ranks, pairs = relations
+    masks = [0] * len(labels)
+    for i, j in pairs:
+        masks[i] |= 1 << j
+    want_up, want_down = ref_closed_masks([m | 1 << i for i, m in enumerate(masks)])
+    members = data.draw(st.sets(st.sampled_from(labels)))
+    for p in (RankedPoset(labels, dict(zip(labels, ranks)),
+                          [(labels[i], labels[j]) for i, j in pairs]),
+              RankedPoset._from_masks(labels, ranks, masks)):
+        assert p._up == want_up and p._down == want_down
+        assert default_order(p, members) == ref_default_order(p, members)
+
+
+def antichains_below(p, x, most):
+    """The antichains of (0, x) whose lower intervals' sizes multiply to at
+    most ``most``."""
+    inside = [y for y in p.downset(x) if y not in (p.zero, x)]
+
+    def grow(start, chosen, product):
+        yield chosen
+        for k in range(start, len(inside)):
+            y = inside[k]
+            grown = product * len(p.downset(y))
+            if grown <= most and not any(p.leq(y, c) or p.leq(c, y) for c in chosen):
+                yield from grow(k + 1, chosen + (y,), grown)
+
+    return grow(0, (), 1)
+
+
+def assert_product_tests_agree(p):
+    """The meet test against the oracle on the antichains of each (0, x)
+    whose product is at most twice |[0, x]|, and on the factors of x in the
+    min, minwc and max members.  A product larger than [0, x] can still
+    give back every element as the join of its meets ({a, b} and {b, c} in
+    the boolean lattice on a, b, c): only the size check rejects it."""
+    members = [minimal_building_set(p), set(p.labels) - {p.zero}]
+    members.append(minimal_well_connected(p, members[0]))
+    for x in p.labels:
+        if x == p.zero:
+            continue
+        cases = {frozenset(c) for c in antichains_below(p, x, 2 * len(p.downset(x)))}
+        cases |= {frozenset(g_factors(p, m, x)) for m in members}
+        for factors in cases:
+            assert (_interval_product_iso(p, factors, x)
+                    == ref_interval_product_iso(p, factors, x)), (x, factors)
+
+
+def product_and_one_more_relation(labels):
+    """[0, f] = {0, a, b, f} times [0, g] = {0, g}, and ag < bg besides: not
+    a local lattice, and joining maps the product onto [0, x] but not
+    isomorphically.  bg meets f in both a and b; with b taken for its meet
+    every element is the join of its meets, so only the uniqueness of meets
+    rejects {f, g}.  ``labels`` fixes which of a and b is listed first."""
+    ranks = {"0": 0, "a": 1, "b": 2, "f": 3, "g": 1, "ag": 2, "bg": 3, "x": 4}
+    covers = [("0", "a"), ("0", "b"), ("0", "g"), ("a", "f"), ("b", "f"),
+              ("a", "ag"), ("g", "ag"), ("b", "bg"), ("ag", "bg"),
+              ("f", "x"), ("bg", "x")]
+    return RankedPoset(labels, ranks, covers)
+
+
+PRODUCT_POSETS = {**BASE_POSETS, "three atoms, two tops": three_atoms_two_tops,
+                  "boolean(3)": lambda: boolean_poset(3),
+                  "A(3,3)": lambda: poset_of_layers(a_n_c(3, 3)),
+                  "A(4,2)": lambda: poset_of_layers(a_n_c(4, 2)),
+                  **{f"product and ag < bg, {a} first":
+                     lambda a=a, b=b: product_and_one_more_relation(
+                         ["0", a, b, "f", "g", "ag", "bg", "x"])
+                     for a, b in ("ab", "ba")}}
+
+
+@pytest.mark.parametrize("name", PRODUCT_POSETS)
+def test_interval_product_matches_reference(name):
+    assert_product_tests_agree(PRODUCT_POSETS[name]())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(torsion_arrangements())
+def test_interval_product_matches_reference_random(arr):
+    p = poset_of_layers(arr)
+    assume(len(p) - 1 <= 16)
+    assert_product_tests_agree(p)
