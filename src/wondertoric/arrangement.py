@@ -28,13 +28,10 @@ def _numerators(values) -> tuple[int, list[int]]:
     return den, [w.numerator * (den // w.denominator) for w in values]
 
 
-def _phase_sums(matrix, values) -> tuple[Fraction, ...]:
-    """``sum(c * w for c, w in zip(row, values))`` modulo 1, for each row.
-
-    The integer numerators are summed over the common denominator of
-    ``values``, so a row costs one ``Fraction`` rather than one per term.
-    """
-    den, nums = _numerators(values)
+def _phase_sums(matrix, den: int, nums) -> tuple[Fraction, ...]:
+    """``sum(c * w for c, w in zip(row, values))`` modulo 1, for each row,
+    where ``values`` are the integer numerators ``nums`` over ``den``: a
+    row costs one ``Fraction`` rather than one per term."""
     return tuple(Fraction(sum(map(mul, row, nums)) % den, den) for row in matrix)
 
 
@@ -50,8 +47,10 @@ class Layer:
     phase: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # layers key every poset lookup; hash the compared fields once
+        # layers key every poset lookup; hash the compared fields once, and
+        # keep the phase as numerators over one denominator for intersecting
         object.__setattr__(self, "_hash", hash((self.lattice, self.phase)))
+        object.__setattr__(self, "_nums", _numerators(self.phase))
 
     def __hash__(self):
         return self._hash
@@ -69,7 +68,7 @@ class Layer:
                 "out is disconnected (split it into layers first)"
             )
         lattice, coeffs = _hnf_frame(ambient_rank, rows)
-        return Layer(lattice, _phase_sums(coeffs, values))
+        return Layer(lattice, _phase_sums(coeffs, *_numerators(values)))
 
     @staticmethod
     def whole_torus(ambient_rank: int) -> "Layer":
@@ -82,13 +81,6 @@ class Layer:
     @property
     def rank(self) -> int:
         return self.lattice.rank
-
-    def phase_of(self, character) -> Fraction | None:
-        """Value of the phase on a character of the lattice (None if outside)."""
-        coeffs = self.lattice.solve(character)
-        if coeffs is None:
-            return None
-        return _phase_sums([coeffs], self.phase)[0]
 
     def sort_key(self):
         return (self.rank, self.lattice.basis,
@@ -113,13 +105,6 @@ def _hnf_frame(ambient_rank: int, rows) -> tuple[Sublattice, list]:
             [u[i] for i in keep])
 
 
-def _coordinates(inner: Sublattice, outer: Sublattice) -> list | None:
-    """Coordinates of the basis of ``inner`` in that of ``outer``, or None
-    when ``inner`` is not contained in ``outer``."""
-    coords = [outer.solve(row) for row in inner.basis]
-    return None if None in coords else coords
-
-
 def layer_leq(k1: Layer, k2: Layer) -> bool:
     """Poset order: k1 <= k2 iff the k2 subvariety sits inside k1's.
 
@@ -128,8 +113,8 @@ def layer_leq(k1: Layer, k2: Layer) -> bool:
     """
     if k1.ambient_rank != k2.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    coords = _coordinates(k1.lattice, k2.lattice)
-    return coords is not None and _phase_sums(coords, k2.phase) == k1.phase
+    coords = [k2.lattice.solve(row) for row in k1.lattice.basis]
+    return None not in coords and _phase_sums(coords, *k2._nums) == k1.phase
 
 
 def _meet_lattices(l1: Sublattice, l2: Sublattice) -> tuple:
@@ -154,29 +139,35 @@ def intersect_layers(k1: Layer, k2: Layer, meets: dict | None = None) -> list[La
     Empty when the phases are inconsistent on the common lattice;
     otherwise one layer per extension of the combined phase to the
     saturation of the combined lattice, in canonical order.  The lattice
-    work depends on the ordered pair of lattices only: a caller that
-    intersects many layers passes one dict as ``meets`` to keep it.
+    work depends on the unordered pair of lattices only, so it takes one
+    Smith form per pair: a caller that intersects many layers passes one
+    dict as ``meets`` to keep it.
     """
     if k1.ambient_rank != k2.ambient_rank:
         raise ValueError("ambient rank mismatch")
     if k1.lattice == k2.lattice:
         # translates of one subtorus are equal or disjoint
         return [k1] if k1.phase == k2.phase else []
+    if k2.lattice.basis < k1.lattice.basis:
+        k1, k2 = k2, k1
     if meets is None:
         meets = {}
     key = (k1.lattice, k2.lattice)
     if key not in meets:
         meets[key] = _meet_lattices(*key)
     lifts, factors, relations, lattice, coeffs = meets[key]
-    den, nums = _numerators(k1.phase + k2.phase)
+    (d1, nums1), (d2, nums2) = k1._nums, k2._nums
+    den = lcm(d1, d2)
+    nums = [w * (den // d1) for w in nums1] + [w * (den // d2) for w in nums2]
     # the phase is a well-defined homomorphism iff it kills the relations
     if any(sum(map(mul, row, nums)) % den for row in relations):
         return []
-    choices = []
-    for row, d in zip(lifts, factors):
-        w = sum(map(mul, row, nums)) % den
-        choices.append([Fraction(w + t * den, den * d) for t in range(d)])
-    out = [Layer(lattice, _phase_sums(coeffs, values))
+    # extension t on saturation row i is (w_i + t den) / (den d_i); each
+    # d_i divides the last one, so all are numerators over den * d_last
+    top = factors[-1]
+    choices = [[(sum(map(mul, row, nums)) % den + t * den) * (top // d)
+                for t in range(d)] for row, d in zip(lifts, factors)]
+    out = [Layer(lattice, _phase_sums(coeffs, den * top, values))
            for values in itertools.product(*choices)]
     out.sort(key=Layer.sort_key)
     return out
@@ -204,47 +195,36 @@ class ToricArrangement:
 
 
 def poset_of_layers(arr: ToricArrangement) -> RankedPoset:
-    """Closure of the subtori under pairwise intersection, by reverse inclusion.
+    """Closure of the subtori under intersection, by reverse inclusion.
 
     Elements of the returned poset are the :class:`Layer` values
     themselves (the whole torus is the minimum), ranked by codimension.
+
+    Each layer meets each distinct subtorus once.  That finds every layer:
+    a component L of the intersection of a set S of subtori is a component
+    of C ∩ h, for h in S and C the component of the intersection of S - h
+    that contains L.  The meets also give the order: when L < M, some
+    subtorus h containing M does not contain L, so M lies in a component
+    C != L of L ∩ h, and L < C <= M.  The pairs (L, C) generate the order.
     """
     zero = Layer.whole_torus(arr.ambient_rank)
-    layers = {zero, *arr.subtori}
-    # each unordered pair of layers other than the torus meets once: a
-    # frontier layer is intersected with the older layers and with the
-    # frontier layers before it
-    older: list[Layer] = []
-    frontier = sorted(layers - {zero}, key=Layer.sort_key)
-    meets: dict = {}
+    subtori = sorted(set(arr.subtori), key=Layer.sort_key)
+    layers = {zero, *subtori}
+    pairs = [(zero, h) for h in subtori]
+    frontier, meets = subtori, {}
     while frontier:
         new = set()
-        for j, b in enumerate(frontier):
-            for a in itertools.chain(older, frontier[:j]):
-                for c in intersect_layers(a, b, meets):
-                    if c not in layers:
-                        new.add(c)
-        older += frontier
+        for a in frontier:
+            for h in subtori:
+                for c in intersect_layers(a, h, meets):
+                    if c.rank > a.rank:  # c lies in a, so c != a
+                        pairs.append((a, c))
+                        if c not in layers:
+                            new.add(c)
         layers |= new
         frontier = sorted(new, key=Layer.sort_key)
     ordered = sorted(layers, key=Layer.sort_key)
-    # a <= b iff a's lattice lies in b's and b's phase restricts to a's:
-    # per pair of lattices, each translate b of the larger one is looked
-    # up among the translates of the smaller one by its restricted phase
-    translates: dict[Sublattice, dict] = {}
-    for i, x in enumerate(ordered):
-        translates.setdefault(x.lattice, {})[x.phase] = i
-    up = [0] * len(ordered)
-    for low, below in translates.items():
-        for high, above in translates.items():
-            coords = _coordinates(low, high) if high.rank > low.rank else None
-            if coords is None:
-                continue
-            for phase, j in above.items():
-                i = below.get(_phase_sums(coords, phase))
-                if i is not None:
-                    up[i] |= 1 << j
-    return RankedPoset._from_masks(ordered, [x.rank for x in ordered], up)
+    return RankedPoset(ordered, {x: x.rank for x in ordered}, pairs)
 
 
 def name_layers(arr: ToricArrangement, poset: RankedPoset, given=None) -> dict:

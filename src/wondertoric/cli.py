@@ -9,7 +9,8 @@ fan:         {"ambient_rank": n, "rays": [[int]], "max_cones": [[int]]}
 
 Phases must be exact fractions ("1/3", "0"); decimals are rejected.  Every
 other number must be a JSON integer; a float, string or boolean is an
-input error.  Rays are normalized to primitive vectors with a warning.
+input error, and so is anything but a list where a list is shown.  Rays
+are normalized to primitive vectors with a warning.
 Exit codes: 0 ok, 1 verification failure, 2 input error.
 """
 
@@ -46,6 +47,13 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _list(value, where: str) -> list:
+    """``value`` if it is a JSON array."""
+    if not isinstance(value, list):
+        raise InputError(f"{where} must be a list, not {value!r}")
+    return value
+
+
 def _parse_phase(value) -> Fraction:
     if not isinstance(value, str):
         raise InputError(f"phase {value!r} must be a string like '1/3'")
@@ -66,14 +74,19 @@ def parse_arrangement(path: str, warnings: list[str]) -> ToricArrangement:
             raise InputError(f"arrangement file is missing the key {key!r}")
     n = _int(data["ambient_rank"], "ambient_rank")
     layers, names = [], []
-    for i, entry in enumerate(data["subtori"]):
+    for i, entry in enumerate(_list(data["subtori"], "subtori")):
+        if not isinstance(entry, dict):
+            raise InputError(f"subtorus #{i} must be an object, not {entry!r}")
         for key in ("chars", "phase"):
             if key not in entry:
                 raise InputError(f"subtorus #{i} is missing the key {key!r}")
         label = str(entry.get("label", f"S{i}"))
-        chars = [[_int(x, f"a character of subtorus {label!r}") for x in row]
-                 for row in entry["chars"]]
-        phases = [_parse_phase(v) for v in entry["phase"]]
+        rows = _list(entry["chars"], f"chars of subtorus {label!r}")
+        chars = [[_int(x, f"a character of subtorus {label!r}")
+                  for x in _list(row, f"character row #{k} of subtorus {label!r}")]
+                 for k, row in enumerate(rows)]
+        phases = [_parse_phase(v)
+                  for v in _list(entry["phase"], f"phase of subtorus {label!r}")]
         if len(phases) != len(chars):
             raise InputError(f"subtorus {label!r}: one phase per character row")
         try:
@@ -95,16 +108,17 @@ def parse_fan(path: str, warnings: list[str]) -> Fan:
             raise InputError(f"fan file is missing the key {key!r}")
     n = _int(data["ambient_rank"], "ambient_rank")
     rays = []
-    for row in data["rays"]:
-        vec = tuple(_int(x, f"ray {row}") for x in row)
+    for k, row in enumerate(_list(data["rays"], "rays")):
+        vec = tuple(_int(x, f"ray {row}") for x in _list(row, f"ray #{k}"))
         try:
             rays.append(_primitive(vec))
         except ValueError:
             raise InputError("fan contains a zero ray") from None
         if rays[-1] != vec:
             warnings.append(f"ray {row} normalized to a primitive vector")
-    cones = [frozenset(_int(i, f"max_cones entry {c}") for i in c)
-             for c in data["max_cones"]]
+    cones = [frozenset(_int(i, f"max_cones entry {c}")
+                       for i in _list(c, f"max_cones entry #{k}"))
+             for k, c in enumerate(_list(data["max_cones"], "max_cones"))]
     try:
         return make_fan(n, rays, cones)
     except ValueError as exc:
@@ -114,11 +128,14 @@ def parse_fan(path: str, warnings: list[str]) -> Fan:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object, not {data!r}")
+    return data
 
 
 def _read_building(poset, selector: str, names: dict) -> set:
@@ -129,10 +146,12 @@ def _read_building(poset, selector: str, names: dict) -> set:
         if "labels" not in data:
             raise InputError("explicit building-set file must have a 'labels' key")
         by_name = {v: k for k, v in names.items()}
-        unknown = [lab for lab in data["labels"] if lab not in by_name]
+        labels = _list(data["labels"], "labels")
+        unknown = [lab for lab in labels
+                   if not isinstance(lab, str) or lab not in by_name]
         if unknown:
             raise InputError(f"unknown layer label {unknown[0]!r}")
-        selector = {by_name[lab] for lab in data["labels"]}
+        selector = {by_name[lab] for lab in labels}
     try:
         return select_building(poset, selector)
     except ValueError as exc:

@@ -375,24 +375,40 @@ def select_building(p: RankedPoset, selector) -> set:
     return members
 
 
-def _multi_joins(p: RankedPoset, members) -> set:
-    """The elements of every join of members with two or more elements."""
-    out, items = set(), [p.index[g] for g in members]
-    for _, (_, mask, _) in _antichains(p, items, (1 << p.n) - 1):
-        if len(join := p._minimal(mask)) > 1:
-            out.update(join)
+def _new_joins(p: RankedPoset, members, fresh) -> set:
+    """The elements outside ``members`` of every join with two or more
+    elements of an antichain of members that contains one of ``fresh``.
+
+    An antichain is walked from its first fresh member g, through the
+    members after g that are incomparable to it; a g with nothing outside
+    ``members`` above it has no new join element and is skipped."""
+    out, inside = set(), set(members)
+    outside = sum(1 << i for i, x in enumerate(p.labels) if x not in inside)
+    first = [p.index[g] for g in fresh]
+    items = first + [p.index[g] for g in inside.difference(fresh)]
+    for k, g in enumerate(first):
+        if not p._up[g] & outside:
+            continue
+        near = p._up[g] | p._down[g]
+        others = [h for h in items[k + 1:] if not near >> h & 1]
+        for c, (_, mask, _) in _antichains(p, others, p._up[g]):
+            if c and len(join := p._minimal(mask)) > 1:
+                out.update(x for x in join if x not in inside)
     return out
 
 
 def is_well_connected(p: RankedPoset, members) -> bool:
     """Multi-element joins of members must stay inside the set."""
-    return _multi_joins(p, members) <= set(members)
+    return not _new_joins(p, members, members)
 
 
 def minimal_well_connected(p: RankedPoset, members) -> set:
-    """Closure of ``members`` under multi-valued joins (a building set, checked)."""
-    current = set(members)
-    while added := _multi_joins(p, current) - current:
+    """Closure of ``members`` under multi-valued joins (a building set, checked).
+
+    A round walks only the antichains through a member the last round
+    added: those of older members were walked before."""
+    current = added = set(members)
+    while added := _new_joins(p, current, added):
         current |= added
     if not is_building_set(p, current):
         raise ValueError("well-connected closure is not a building set")

@@ -91,6 +91,52 @@ def test_non_integer_input_is_an_input_error(tmp_path, capsys, data_dir, file, k
     assert f"input error: {field} must be an integer, not " in err
 
 
+@pytest.mark.parametrize("file, keys, value, message", [
+    ("arr", (), 5, "must hold a JSON object, not 5"),
+    ("arr", ("subtori",), 5, "subtori must be a list, not 5"),
+    ("arr", ("subtori", 0), 5, "subtorus #0 must be an object, not 5"),
+    ("arr", ("subtori", 0, "chars"), 5, "chars of subtorus 'H1' must be a list, not 5"),
+    ("arr", ("subtori", 0, "chars", 0), 5,
+     "character row #0 of subtorus 'H1' must be a list, not 5"),
+    ("arr", ("subtori", 0, "phase"), 5, "phase of subtorus 'H1' must be a list, not 5"),
+    ("fan", ("rays",), 5, "rays must be a list, not 5"),
+    ("fan", ("rays", 0), 5, "ray #0 must be a list, not 5"),
+    ("fan", ("max_cones",), 5, "max_cones must be a list, not 5"),
+    ("fan", ("max_cones", 0), 5, "max_cones entry #0 must be a list, not 5"),
+], ids=["document", "subtori", "subtorus", "chars", "char-row", "phase", "rays",
+        "ray", "max-cones", "cone"])
+def test_container_shape_is_an_input_error(tmp_path, capsys, data_dir, file, keys,
+                                           value, message):
+    """A number where a list or an object belongs is named and exits 2."""
+    paths = {}
+    for kind in ("arr", "fan"):
+        data = json.loads((data_dir / f"a22.{kind}.json").read_text())
+        if kind == file and not keys:
+            data = value
+        elif kind == file:
+            target = data
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        paths[kind] = tmp_path / f"a22.{kind}.json"
+        paths[kind].write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, [
+        "toric-betti", "--arrangement", str(paths["arr"]), "--fan", str(paths["fan"])])
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("labels", [5, [["L1"]]], ids=["number", "nested-label"])
+def test_building_labels_shape_is_an_input_error(tmp_path, capsys, data_dir, labels):
+    path = tmp_path / "building.json"
+    path.write_text(json.dumps({"labels": labels}))
+    code, _, err = run_cli(capsys, [
+        "building", "--arrangement", fixture_path(data_dir, "running.arr.json"),
+        "--building", str(path)])
+    assert code == 2
+    assert "input error" in err
+
+
 def test_rank_mismatch(tmp_path, capsys, data_dir):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps({

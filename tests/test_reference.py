@@ -4,8 +4,9 @@ The oracles below are the straightforward versions of ``poset_of_layers``
 and ``blowup_at``: the poset of layers intersects every ordered pair of
 layers (the whole torus included), computes phases one ``Fraction``
 product at a time and lists every order pair by label; the blowup builds
-its order as a list of label pairs.  The library's versions work on
-cached hashes, integer indices and bitmasks, and must give the same
+its order as a list of label pairs.  The library meets each layer with
+the subtori only and reads the order from those meets; its versions work
+on cached hashes, integer indices and bitmasks, and must give the same
 labels, in the same order, with the same ranks and the same order.
 
 The building-set and nested-set oracles enumerate every subset and then
@@ -506,32 +507,84 @@ def test_translates_match_reference(arr):
     assert_same_poset(poset_of_layers(arr), ref_poset_of_layers(arr))
 
 
-def test_each_unordered_pair_intersected_once(monkeypatch):
-    original_intersect, original_snf = arrangement.intersect_layers, arrangement.snf
+def test_each_layer_meets_each_subtorus_once(monkeypatch):
+    original_intersect = arrangement.intersect_layers
+    original_meet, original_snf = arrangement._meet_lattices, arrangement.snf
 
     def counting(a, b, *args):
-        met.append(frozenset((a, b)))
+        met.append((a, b))
         if a.lattice != b.lattice:
-            lattice_pairs.add((a.lattice, b.lattice))
+            lattice_pairs.add(frozenset((a.lattice, b.lattice)))
         return original_intersect(a, b, *args)
 
-    def counting_snf(rows, *args, **kwargs):
-        smith.append(tuple(rows))
-        return original_snf(rows, *args, **kwargs)
+    def counting_meet(l1, l2):
+        smith.append(frozenset((l1, l2)))
+        return original_meet(l1, l2)
+
+    def counting_snf(*args, **kwargs):
+        snf_calls.append(args)
+        return original_snf(*args, **kwargs)
 
     monkeypatch.setattr(arrangement, "intersect_layers", counting)
+    monkeypatch.setattr(arrangement, "_meet_lattices", counting_meet)
     monkeypatch.setattr(arrangement, "snf", counting_snf)
     translate_heavy = ToricArrangement(3, tuple(
         translates(3, [[1, 0, 0]], 3) + translates(3, [[0, 1, 0]], 2)
         + translates(3, [[1, 1, 1]], 3) + translates(3, [[0, 1, 0], [0, 0, 1]], 2)))
     for arr in (a_n_c(3, 2), translate_heavy):
-        met, lattice_pairs, smith = [], set(), []
+        met, lattice_pairs, smith, snf_calls = [], set(), [], []
         p = poset_of_layers(arr)
-        layers = [x for x in p.labels if x != p.zero]
         assert len(met) == len(set(met))
-        assert set(met) == {frozenset(pair) for pair in itertools.combinations(layers, 2)}
-        # the Smith form runs at most once per ordered pair of distinct lattices
-        assert len(smith) == len(set(smith)) <= len(lattice_pairs)
+        assert set(met) == {(a, h) for a in p.labels if a != p.zero
+                            for h in set(arr.subtori)}
+        # the Smith form runs at most once per unordered pair of distinct lattices
+        assert len(snf_calls) == len(smith) == len(set(smith))
+        assert set(smith) <= lattice_pairs
+
+
+def _hypersurface(rank, row, phase=0):
+    return Layer.make(rank, [row], [Fraction(phase)])
+
+
+# a codimension-2 subtorus inside the first hypersurface, and one more
+_INSIDE = (_hypersurface(3, [1, 1, 0], Fraction(1, 3)),
+           Layer.make(3, [[1, 1, 0], [0, 1, -1]], [Fraction(1, 3), Fraction(1, 2)]),
+           _hypersurface(3, [0, 0, 1]))
+
+EDGE_ARRANGEMENTS = {
+    "duplicated": ToricArrangement(3, (
+        _hypersurface(3, [1, 0, 0]), _hypersurface(3, [0, 1, 0], Fraction(1, 2)),
+        _hypersurface(3, [1, 0, 0]), _hypersurface(3, [1, 1, 1]))),
+    "codim-2-inside-listed-after": ToricArrangement(3, _INSIDE),
+    "codim-2-inside-listed-before": ToricArrangement(3, _INSIDE[::-1]),
+    # translates of two subtori, one lattice inside the other: every
+    # meet is a listed layer
+    "parallel-translates": ToricArrangement(3, tuple(
+        translates(3, [[1, -1, 0]], 3) + translates(3, [[1, -1, 0], [0, 1, 2]], 2))),
+    "rank-1": ToricArrangement(1, (
+        _hypersurface(1, [1], Fraction(1, 2)), _hypersurface(1, [1]),
+        _hypersurface(1, [1], Fraction(1, 2)))),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_ARRANGEMENTS)
+def test_poset_of_layers_matches_reference_edge_cases(name):
+    arr = EDGE_ARRANGEMENTS[name]
+    p = poset_of_layers(arr)
+    assert_same_poset(p, ref_poset_of_layers(arr))
+    if name in ("parallel-translates", "rank-1"):
+        assert set(p.labels) == {p.zero, *arr.subtori}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(torsion_arrangements())
+def test_intersection_is_symmetric(arr):
+    meets = {}
+    for a, b in itertools.combinations(poset_of_layers(arr).labels, 2):
+        ab = arrangement.intersect_layers(a, b, meets)
+        assert ab == arrangement.intersect_layers(b, a)
+        assert ab == arrangement.intersect_layers(b, a, meets)
 
 
 def assert_blowup_poset_agrees(p, selector):
