@@ -65,6 +65,8 @@ def _parse_phase(value) -> Fraction:
         return Fraction(value)
     except ValueError as exc:
         raise InputError(f"cannot parse phase {value!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise InputError(f"phase {value!r} has a zero denominator") from None
 
 
 def parse_arrangement(path: str, warnings: list[str]) -> ToricArrangement:
@@ -116,8 +118,7 @@ def parse_fan(path: str, warnings: list[str]) -> Fan:
             raise InputError("fan contains a zero ray") from None
         if rays[-1] != vec:
             warnings.append(f"ray {row} normalized to a primitive vector")
-    cones = [frozenset(_int(i, f"max_cones entry {c}")
-                       for i in _list(c, f"max_cones entry #{k}"))
+    cones = [[_int(i, f"max_cones entry {c}") for i in _list(c, f"max_cones entry #{k}")]
              for k, c in enumerate(_list(data["max_cones"], "max_cones"))]
     try:
         return make_fan(n, rays, cones)
@@ -236,21 +237,13 @@ def _dispatch(args, warnings) -> dict:
 
     if args.command == "blowup":
         bl = blowup_building(poset, building)
-        elems = []
-        for lab in bl.poset.labels:
-            ns = bl.nested(lab)
-            elems.append({
-                "members": sorted(names[m] for m in ns.members),
-                "projection": names[ns.x],
-                "rank": bl.poset.rank(lab),
-            })
+        face = {lab: [sorted(names[m] for m in ns.members), names[ns.x]]
+                for lab, ns in bl.nested_by_key.items()}
         return {
             "command": "blowup",
-            "elements": elems,
-            "covers": sorted(
-                [[sorted(names[m] for m in bl.nested(a).members), names[bl.nested(a).x]],
-                 [sorted(names[m] for m in bl.nested(b).members), names[bl.nested(b).x]]]
-                for a, b in bl.poset.covers()),
+            "elements": [{"members": s, "projection": x, "rank": bl.poset.rank(lab)}
+                         for lab, (s, x) in face.items()],
+            "covers": sorted([face[a], face[b]] for a, b in bl.covers),
             "locally_boolean": bl.is_locally_boolean(),
         }
 

@@ -91,10 +91,13 @@ def make_fan(ambient_rank: int, rays, max_cones, ray_labels=None,
             raise ValueError(f"ray {r} is not primitive")
     if len(set(rays)) != len(rays):
         raise ValueError("duplicate rays")
-    cones = tuple(frozenset(map(int, c)) for c in max_cones)
-    for c in cones:
+    max_cones = [list(map(int, c)) for c in max_cones]
+    for c in max_cones:
         if not c or max(c) >= len(rays) or min(c) < 0:
             raise ValueError("cone indexes a missing ray")
+        if len(set(c)) != len(c):
+            raise ValueError(f"maximal cone {c} repeats a ray index")
+    cones = tuple(frozenset(c) for c in max_cones)
     if ray_labels is None:
         ray_labels = tuple(range(len(rays)))
     if lattice is None:

@@ -20,6 +20,14 @@ import math
 from dataclasses import dataclass
 
 
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class RankedPoset:
     """Finite poset with minimum and a rank rising strictly along the order."""
 
@@ -61,10 +69,8 @@ class RankedPoset:
         # up-set is closed before i's: one pass closes the order, and no
         # cycle can pass the rank check
         for i in sorted(range(n), key=rank_list.__getitem__, reverse=True):
-            acc, m = up[i], up[i] & ~(1 << i)
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
+            acc = up[i]
+            for j in _bits(up[i] & ~(1 << i)):
                 if rank_list[j] <= rank_list[i]:
                     raise ValueError("rank function is not strictly monotone: "
                                      f"{labels[i]} < {labels[j]}")
@@ -73,10 +79,7 @@ class RankedPoset:
         self._up = up
         down = [0] * n
         for i in range(n):
-            m = up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
+            for j in _bits(up[i]):
                 down[j] |= 1 << i
         self._down = down
         minima = [i for i in range(n) if down[i] == 1 << i]
@@ -99,12 +102,7 @@ class RankedPoset:
         return i != j and (self._up[i] >> j) & 1 == 1
 
     def _members(self, mask) -> list:
-        out = []
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            out.append(self.labels[j])
-        return out
+        return [self.labels[j] for j in _bits(mask)]
 
     def upset(self, x) -> list:
         return self._members(self._up[self.index[x]])
@@ -119,14 +117,8 @@ class RankedPoset:
     def covers_above(self, x) -> list:
         i = self.index[x]
         strict = self._up[i] & ~(1 << i)
-        out = []
-        m = strict
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not (strict & self._down[j] & ~(1 << j)):
-                out.append(self.labels[j])
-        return out
+        return [self.labels[j] for j in _bits(strict)
+                if not strict & self._down[j] & ~(1 << j)]
 
     def _minimal(self, mask) -> list:
         out = []
@@ -281,10 +273,7 @@ def _interval_product_iso(p: RankedPoset, factors, x) -> bool:
     fs, top = [p.index[f] for f in factors], p._down[p.index[x]]
     if math.prod(down[f].bit_count() for f in fs) != top.bit_count():
         return False
-    m = top
-    while m:
-        y = (m & -m).bit_length() - 1
-        m &= m - 1
+    for y in _bits(top):
         bound = top  # the upper bounds in [0, x] of the meets of y
         for f in fs:
             meet = p._maximal(down[y] & down[f])
@@ -509,6 +498,15 @@ class BlowupPoset:
             self.nested_by_key,
             {key: len(ns) for key, ns in self.nested_by_key.items()}, facets)
 
+    @property
+    def covers(self) -> list:
+        """The cover pairs in the order ``poset.covers()`` gives: the facet
+        relations raise the rank by one and generate the order, so a face is
+        covered by the faces one rank up in its up-set."""
+        p, rank = self.poset, self.poset.rank_list
+        return [(a, p.labels[j]) for i, a in enumerate(p.labels)
+                for j in _bits(p._up[i]) if rank[j] == rank[i] + 1]
+
     def nested(self, label) -> NestedSet:
         return self.nested_by_key[label]
 
@@ -533,8 +531,69 @@ def blowup_building(p: RankedPoset, building: BuildingSet) -> BlowupPoset:
 _BLOWN = "~bl"
 
 
+def _blow_up(p: RankedPoset, centers) -> tuple[RankedPoset, list, list]:
+    """Blow up ``p`` along ``centers`` on one index space that only grows.
+
+    An element keeps its position for the whole call: position i < len(p)
+    is p's element i, and each blowup appends its new elements (x, y), of
+    up-mask x_above[x] & y_above[y].  A blowup at c clears the positions
+    above c from ``live`` and from the up-masks of the kept elements.
+    Labels, ranks, accumulated centers and projections to p are lists by
+    position, hashed only when the live positions are compacted, in order,
+    into one poset; returns it with the centers and projections of its
+    elements.
+    """
+    labels, rank, up = list(p.labels), list(p.rank_list), list(p._up)
+    made, base = [frozenset()] * p.n, list(p.labels)
+    zero, live = p.index[p.zero], (1 << p.n) - 1
+    for c in centers:
+        ci = p.index.get(c)
+        if ci is None:  # a label made by an earlier step
+            ci = next((k for k in range(p.n, len(labels)) if labels[k] == c), None)
+        if ci is None or not live >> ci & 1:
+            raise ValueError(f"center {c!r} was removed by an earlier blowup")
+        if ci == zero:
+            raise ValueError("center must be an element above the minimum")
+        above, centered = up[ci], frozenset((c,))
+        live &= ~above
+        pairs, by_x, by_y = [], {}, {}
+        for i in _bits(live):
+            common = up[i] & above
+            if not common:
+                continue
+            up[i] ^= common
+            # the minimal elements of common, the joins of c and i
+            nonmin, grown = 0, made[i] | centered
+            for j in _bits(common):
+                nonmin |= up[j] ^ 1 << j
+            for j in _bits(common & ~nonmin):
+                k = 1 << len(labels)
+                by_x[i] = by_x.get(i, 0) | k
+                by_y[j] = by_y.get(j, 0) | k
+                pairs.append((i, j))
+                labels.append((_BLOWN, c, labels[i], labels[j]))
+                rank.append(rank[i] + 1)
+                made.append(grown)
+                base.append(base[j])
+        # x_above[w] (y_above[w]): the new elements whose x (y) lies above w,
+        # a union of disjoint groups, so a sum; a kept element below some x
+        # has a nonempty common, so is an x itself
+        x_heads, y_heads = sum(1 << i for i in by_x), sum(1 << j for j in by_y)
+        x_above = {w: sum(by_x[i] for i in _bits(up[w] & x_heads)) for w in by_x}
+        y_above = {w: sum(by_y[j] for j in _bits(up[w] & y_heads)) for w in by_y}
+        for i, acc in x_above.items():
+            up[i] |= acc
+        up += [x_above[i] & y_above[j] for i, j in pairs]
+        live |= sum(by_x.values())
+    keep = list(_bits(live))
+    bit = {i: 1 << k for k, i in enumerate(keep)}
+    q = RankedPoset._from_masks([labels[i] for i in keep], [rank[i] for i in keep],
+                                [sum(bit[w] for w in _bits(up[i])) for i in keep])
+    return q, [made[i] for i in keep], [base[i] for i in keep]
+
+
 def blowup_at(p: RankedPoset, center) -> tuple[RankedPoset, dict]:
-    """Blow up a poset at one element.
+    """Blow up a poset at one element: the one-step ``iterated_blowup``.
 
     Elements not above the center survive; each pair (x, y) with x not
     above the center and y a minimal upper bound of {center, x} becomes a
@@ -543,79 +602,23 @@ def blowup_at(p: RankedPoset, center) -> tuple[RankedPoset, dict]:
     """
     if center == p.zero or center not in p.index:
         raise ValueError("center must be an element above the minimum")
-    up, down, labels = p._up, p._down, p.labels
-    above = up[p.index[center]]
-    keep = [i for i in range(p.n) if not (above >> i) & 1]
-    new = []  # (x, y) as indices of p
-    for i in keep:
-        common = above & up[i]
-        m = common
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            if common & down[j] == 1 << j:
-                new.append((i, j))
-    # masks over the new poset's indices: keep first, then the new elements
-    nk = len(keep)
-    bit = [0] * p.n
-    for k, i in enumerate(keep):
-        bit[i] = 1 << k
-    by_x, by_y = {}, {}
-    for k, (i, j) in enumerate(new):
-        by_x[i] = by_x.get(i, 0) | 1 << (nk + k)
-        by_y[j] = by_y.get(j, 0) | 1 << (nk + k)
-    # x_above[w] (y_above[w]): the new elements whose x (y) lies above w
-    x_above, y_above = [0] * p.n, [0] * p.n
-    for table, groups in ((x_above, by_x), (y_above, by_y)):
-        for i, group in groups.items():
-            m = down[i]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                table[w] |= group
-    new_up = []
-    for i in keep:
-        acc = x_above[i]
-        m = up[i] & ~above
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            acc |= bit[w]
-        new_up.append(acc)
-    new_up += [x_above[i] & y_above[j] for i, j in new]
-    old = [labels[i] for i in keep]
-    blown = [(_BLOWN, center, labels[i], labels[j]) for i, j in new]
-    ranks = [p.rank_list[i] for i in keep] + [p.rank_list[i] + 1 for i, _ in new]
-    q = RankedPoset._from_masks(old + blown, ranks, new_up)
-    proj = {x: x for x in old}
-    for t in blown:
-        proj[t] = t[3]
-    return q, proj
+    q, _, base = _blow_up(p, [center])
+    return q, dict(zip(q.labels, base))
 
 
 def iterated_blowup(p: RankedPoset, centers) -> tuple[RankedPoset, dict]:
     """Blow up along ``centers`` in the given order.
 
-    Returns the final poset together with a decoding of every element as a
-    pair (set of centers accumulated, projection to the original poset);
-    for orders refining the opposite partial order on a building set this
-    decoding identifies the result with the nested-set face poset.
+    The elementary blowups run on one index space that only grows (see
+    ``_blow_up``), and the final poset is built once.  Returns it together
+    with a decoding of every element as a pair (set of centers accumulated,
+    projection to the original poset); for orders refining the opposite
+    partial order on a building set this decoding identifies the result
+    with the nested-set face poset.  A center may be an element of ``p`` or
+    a label made by an earlier step.
     """
-    current = p
-    decode = {x: (frozenset(), x) for x in p.labels}
-    for c in centers:
-        if c not in current.index:
-            raise ValueError(f"center {c!r} was removed by an earlier blowup")
-        nxt, proj = blowup_at(current, c)
-        new_decode = {}
-        for lab in nxt.labels:
-            if isinstance(lab, tuple) and len(lab) == 4 and lab[0] == _BLOWN and lab[1] == c:
-                _, _, x, y = lab
-                new_decode[lab] = (decode[x][0] | {c}, decode[y][1])
-            else:
-                new_decode[lab] = decode[lab]
-        current, decode = nxt, new_decode
-    return current, decode
+    q, made, base = _blow_up(p, centers)
+    return q, dict(zip(q.labels, zip(made, base)))
 
 
 # -- deletion and contraction ----------------------------------------------

@@ -238,7 +238,7 @@ class ModelPresentation:
 
     def _moving_covers(self) -> list:
         """The covers that move the projection, one relation (ii) each."""
-        return [(a, b) for a, b in self.bl.poset.covers()
+        return [(a, b) for a, b in self.bl.covers
                 if self.bl.pi[a] != self.bl.pi[b]]
 
     def _incomparable_pairs(self) -> list:

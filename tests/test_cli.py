@@ -39,6 +39,28 @@ def test_phase_fraction_rules():
         cli._parse_phase("0.5")
 
 
+def test_zero_denominator_phase_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"ambient_rank": 1, "subtori": [
+        {"label": "P", "chars": [[1]], "phase": ["1/0"]}]}))
+    code, _, err = run_cli(capsys, ["poset", "--arrangement", str(path)])
+    assert code == 2
+    assert "input error: phase '1/0' has a zero denominator" in err
+
+
+def test_repeated_ray_index_in_a_cone_is_an_input_error(tmp_path, capsys, data_dir):
+    # once read as the one-ray cone {0}: Betti [1, 0, 0], verified, exit 0
+    fan = json.loads((data_dir / "a22.fan.json").read_text())
+    fan["max_cones"] = [[0, 0]]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan))
+    code, _, err = run_cli(capsys, [
+        "model-betti", "--arrangement", fixture_path(data_dir, "a22.arr.json"),
+        "--fan", str(path)])
+    assert code == 2
+    assert "input error: maximal cone [0, 0] repeats a ray index" in err
+
+
 def test_missing_max_cones(tmp_path, capsys, data_dir):
     bad = tmp_path / "fan.json"
     bad.write_text(json.dumps({"ambient_rank": 2, "rays": [[1, 0]]}))

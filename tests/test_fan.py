@@ -136,6 +136,12 @@ def test_make_fan_validation():
         make_fan(2, [(1, 0)], [frozenset({1})])  # missing ray index
 
 
+def test_make_fan_rejects_a_repeated_ray_index():
+    # [0, 0] is not the one-ray cone {0}
+    with pytest.raises(ValueError, match=r"maximal cone \[0, 0\] repeats a ray index"):
+        make_fan(2, [(1, 0), (0, 1)], [[0, 0], [0, 1]])
+
+
 def test_running_fan_coverage_probe(fan):
     # debug-only completeness probe; non-authoritative but should hold here
     from wondertoric.fan import coverage_probe

@@ -8,6 +8,9 @@ its order as a list of label pairs.  The library meets each layer with
 the subtori only and reads the order from those meets; its versions work
 on cached hashes, integer indices and bitmasks, and must give the same
 labels, in the same order, with the same ranks and the same order.
+The iterated-blowup oracle runs ``ref_blowup_at`` one center at a time
+and decodes each new label by its center, x and y; the library blows up
+on one index space that only grows and builds one poset at the end.
 
 The building-set and nested-set oracles enumerate every subset and then
 filter it; the library grows sets depth-first and cuts a branch as soon
@@ -146,6 +149,26 @@ def ref_blowup_at(p, center):
     proj = {x: x for x in keep}
     proj.update((t, t[3]) for t in new)
     return RankedPoset(keep + new, ranks, pairs), proj
+
+
+def ref_iterated_blowup(p, centers):
+    """``ref_blowup_at`` one center at a time, each new label decoded by its
+    center and the decodings of its x and y."""
+    current = p
+    decode = {x: (frozenset(), x) for x in p.labels}
+    for c in centers:
+        if c not in current.index:
+            raise ValueError(f"center {c!r} was removed by an earlier blowup")
+        current, _ = ref_blowup_at(current, c)
+        new_decode = {}
+        for lab in current.labels:
+            if isinstance(lab, tuple) and len(lab) == 4 and lab[0] == _BLOWN and lab[1] == c:
+                _, _, x, y = lab
+                new_decode[lab] = (decode[x][0] | {c}, decode[y][1])
+            else:
+                new_decode[lab] = decode[lab]
+        decode = new_decode
+    return current, decode
 
 
 def is_antichain(p, combo):
@@ -359,17 +382,61 @@ def test_poset_of_layers_matches_reference_anc(n, c):
     assert_same_poset(poset_of_layers(arr), ref_poset_of_layers(arr))
 
 
-@pytest.mark.parametrize("name", ["running", "A(3,2)"])
-def test_iterated_blowup_matches_reference(name, monkeypatch):
-    p = BASE_POSETS[name]()
-    building = make_building_set(p, minimal_building_set(p))
+def blowup_outcome(blow_up, p, centers):
+    """The poset's labels, ranks and up-masks with the decoding's items, in
+    order, or the message of the error raised."""
+    try:
+        q, decode = blow_up(p, centers)
+    except ValueError as exc:
+        return str(exc)
+    return q.labels, q.rank_list, q._up, list(decode.items())
+
+
+def assert_iterated_blowups_agree(p, selector):
+    building = make_building_set(p, select_building(p, selector))
     for order in linear_refinements(p, building.members, 2):
-        q, decode = iterated_blowup(p, order)
-        monkeypatch.setattr(poset_module, "blowup_at", ref_blowup_at)
-        ref_q, ref_decode = iterated_blowup(p, order)
-        monkeypatch.undo()
-        assert_same_poset(q, ref_q)
-        assert decode == ref_decode
+        got = blowup_outcome(iterated_blowup, p, order)
+        assert not isinstance(got, str), got
+        assert got == blowup_outcome(ref_iterated_blowup, p, order)
+
+
+ITERATED_SELECTORS = {"running": ("min", "minwc", "max"), "A(2,2)": ("min", "max"),
+                      "A(3,2)": ("min", "max"), "A(3,3)": ("max",), "A(4,2)": ("min",)}
+
+
+@pytest.mark.parametrize("name", ITERATED_SELECTORS)
+def test_iterated_blowup_matches_reference(name):
+    n_c = {"A(3,3)": (3, 3), "A(4,2)": (4, 2)}.get(name)
+    p = poset_of_layers(a_n_c(*n_c)) if n_c else BASE_POSETS[name]()
+    for selector in ITERATED_SELECTORS[name]:
+        assert_iterated_blowups_agree(p, selector)
+
+
+def test_iterated_blowup_errors_match_reference():
+    p = running_poset()
+    x = next(x for x in p.labels if x != p.zero and len(p.upset(x)) > 1)
+    above = next(y for y in p.upset(x) if y != x)
+    for centers, message in [
+            ([p.zero], "center must be an element above the minimum"),
+            ([x, p.zero], "center must be an element above the minimum"),
+            (["nowhere"], "center 'nowhere' was removed by an earlier blowup"),
+            ([x, above], f"center {above!r} was removed by an earlier blowup")]:
+        assert blowup_outcome(iterated_blowup, p, centers) == message
+        assert blowup_outcome(ref_iterated_blowup, p, centers) == message
+    for center in (p.zero, "nowhere"):
+        with pytest.raises(ValueError, match="center must be an element above the minimum"):
+            blowup_at(p, center)
+
+
+def test_iterated_blowup_accepts_a_center_made_by_an_earlier_step():
+    p = running_poset()
+    x = next(x for x in p.labels if x != p.zero and len(p.upset(x)) > 1)
+    made = [lab for lab in blowup_at(p, x)[0].labels if lab not in p.index]
+    other = next(y for y in p.labels if y != p.zero and not p.leq(x, y))
+    for centers in ([x, made[0]], [x, made[-1], other], [x, other, made[0]]):
+        got = blowup_outcome(iterated_blowup, p, centers)
+        assert got == blowup_outcome(ref_iterated_blowup, p, centers)
+    assert not isinstance(blowup_outcome(iterated_blowup, p, [x, made[0]]), str)
 
 
 def _layer_or_none(rank, rows, nums, q):
@@ -407,6 +474,20 @@ def test_poset_of_layers_matches_reference_random(arr):
     p = poset_of_layers(arr)
     assert_same_poset(p, ref_poset_of_layers(arr))
     assert_blowups_agree(p)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(torsion_arrangements(), st.sampled_from(("min", "minwc", "max")), st.data())
+def test_iterated_blowup_matches_reference_random(arr, selector, data):
+    """Along building orders, and along any centers of p, removed ones and
+    the minimum included, which must fail with the same message."""
+    p = poset_of_layers(arr)
+    assume(len(p) - 1 <= 16)
+    assert_iterated_blowups_agree(p, selector)
+    centers = data.draw(st.lists(st.sampled_from(p.labels), max_size=4))
+    assert (blowup_outcome(iterated_blowup, p, centers)
+            == blowup_outcome(ref_iterated_blowup, p, centers))
 
 
 def assert_building_and_nested_sets_agree(p):
@@ -593,6 +674,7 @@ def assert_blowup_poset_agrees(p, selector):
     ref, ref_pi = ref_blowup_poset(p, building)
     assert_same_poset(bl.poset, ref)
     assert bl.poset.covers() == ref.covers()
+    assert bl.covers == ref.covers()
     assert bl.pi == ref_pi
 
 
