@@ -19,6 +19,7 @@ from .arrangement import (
 from .fan import (
     EqualSignResult,
     Fan,
+    check_pseudomanifold,
     equal_sign_search,
     interior_condition,
     is_smooth,

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import admissible
 from .arrangement import Layer, ToricArrangement, name_layers, poset_of_layers
-from .fan import Fan, _primitive, is_smooth, make_fan
+from .fan import Fan, _primitive, check_pseudomanifold, is_smooth, make_fan
 from .poset import (
     blowup_building,
     is_building_set,
@@ -256,6 +256,10 @@ def _dispatch(args, warnings) -> dict:
             f"fan has {fan.ambient_rank}")
     if not is_smooth(fan):
         raise InputError("the fan is not smooth")
+    try:
+        check_pseudomanifold(fan)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
     if args.command == "toric-betti":
         empty = make_building_set(poset, frozenset(), ())

@@ -3,9 +3,11 @@
 A fan is a set of primitive integer rays plus its maximal cones; rays are
 kept in ambient coordinates even after restriction, with the sublattice
 the restricted fan lives in recorded alongside (the quotient torus never
-needs explicit coordinates).  Completeness is declared by the caller, not
-verified: a Monte-Carlo coverage probe is available for debugging but is
-not authoritative.
+needs explicit coordinates).  Completeness is declared by the caller and
+checked only in part: ``check_pseudomanifold`` rejects a ray in no
+maximal cone, maximal cones of the wrong size and facets not shared by
+exactly two of them, a necessary condition; a Monte-Carlo coverage probe
+is available for debugging but is not authoritative.
 """
 
 from __future__ import annotations
@@ -56,17 +58,20 @@ class Fan:
         return out
 
     def minimal_nonfaces(self) -> list[frozenset[int]]:
-        """Minimal ray sets not contained in any cone (Stanley-Reisner data)."""
+        """Minimal ray sets not contained in any cone (Stanley-Reisner data):
+        the pairs of rays that span no cone, then each face f of two or
+        more rays with one ray v > max(f) added, when that is no face but
+        every facet of it is."""
         faces = self.cones()
-        found = []
-        for k in range(2, max((len(c) for c in self.max_cones), default=1) + 2):
-            for combo in itertools.combinations(range(self.nrays), k):
-                s = frozenset(combo)
-                if s in faces:
-                    continue
-                if any(nf <= s for nf in found):
-                    continue
-                found.append(s)
+        found = [s for s in map(frozenset, itertools.combinations(range(self.nrays), 2))
+                 if s not in faces]
+        for f in faces:
+            if len(f) < 2:
+                continue
+            for v in range(max(f) + 1, self.nrays):
+                s = f | {v}
+                if s not in faces and all(s - {u} in faces for u in f):
+                    found.append(s)
         found.sort(key=lambda s: (len(s), sorted(s)))
         return found
 
@@ -119,6 +124,33 @@ def is_smooth(fan: Fan) -> bool:
         if res.rank != len(c) or any(d != 1 for d in res.invariant_factors):
             return False
     return True
+
+
+def check_pseudomanifold(fan: Fan) -> None:
+    """Raise ValueError unless every ray lies in a maximal cone, every
+    maximal cone has ``lattice.rank`` rays and each of its facets lies in
+    exactly two maximal cones.  A complete simplicial fan passes; passing
+    does not make a fan complete."""
+    dim = fan.lattice.rank
+    if dim and not fan.max_cones:
+        raise ValueError("the fan has no maximal cones")
+    unused = set(range(fan.nrays)).difference(*fan.max_cones)
+    if unused:
+        r = min(unused)
+        raise ValueError(f"ray {r} {list(fan.rays[r])} lies in no maximal cone")
+    holders: dict[frozenset[int], int] = {}
+    for c in fan.max_cones:
+        if len(c) != dim:
+            raise ValueError(f"maximal cone {sorted(c)} has {len(c)} rays, "
+                             f"not {dim}: the fan is not complete")
+        for r in sorted(c):
+            facet = c - {r}
+            holders[facet] = holders.get(facet, 0) + 1
+    for facet, k in holders.items():
+        if k != 2:
+            raise ValueError(f"facet {sorted(facet)} should lie in 2 maximal "
+                             f"cones, but lies in {k}: the maximal cones do not "
+                             "form a complete fan")
 
 
 def restrict_fan(fan: Fan, gamma: Sublattice) -> Fan:

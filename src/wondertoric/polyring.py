@@ -26,23 +26,23 @@ homogeneous, which makes degree-truncated runs sound.
 
 ``GroebnerBasis.reduce`` keeps the terms still to reduce in a dict and on
 a heap, both keyed by the bare int -K, so they pop in the monomial order,
-largest first.  Reducers come from a divisibility index: one bitset per
-variable marks the elements whose leading monomial uses it, so the
-elements whose lead support lies inside a term's support are found by
-masking, memoised per support inside the basis.  They are tried in the
-order they were added, so the reducer chosen, and every normal form and
-certificate, is the one a linear scan of the leads would give.
+largest first.  Reducers come from a lead-support index, the elements
+grouped by the support of their lead: those whose lead support lies
+inside a term's support are the groups of its sub-masks, memoised per
+support inside the basis.  They are tried in the order they were added,
+so the reducer chosen, and every normal form and certificate, is the one
+a linear scan of the leads would give.
 
 ``PairSweep`` is the one pair generator behind ``buchberger`` and
-``is_groebner``.  It visits only the pairs whose leads share a variable
-or have degrees low enough, from bitsets kept by lead variable and by
-lead degree; every other pair has its lcm degree above the cap.  It skips
-S-pairs of two monomials, and it applies Buchberger's product criterion:
-coprime leads whose leading coefficients are both units need no S-pair
-and give no GCD-pair.  Over Z the criterion is sound only with unit
-coefficients (Lichtblau 2012).  The sweep counts what it skips and
-reduces; ``groebner_witness`` returns the first pair whose normal form is
-nonzero, which ``is_groebner`` reduces to a bool.
+``is_groebner``.  Bitsets by lead variable and by lead degree give the
+pairs under the cap: leads that share a variable, and disjoint leads of
+small enough degrees; no other pair is looked at.  It skips S-pairs of
+two monomials, and it applies Buchberger's product criterion: coprime
+leads whose leading coefficients are both units need no S-pair and give
+no GCD-pair.  Over Z the criterion is sound only with unit coefficients
+(Lichtblau 2012).  Disjoint pairs of unit leads are counted by popcount,
+not visited.  ``groebner_witness`` returns the first pair whose normal
+form is nonzero, which ``is_groebner`` reduces to a bool.
 
 When every leading coefficient is 1, the reducer of a term c*m is the
 first candidate whose lead divides m, whatever c is, and it leaves no
@@ -50,9 +50,10 @@ remainder, so the normal form is linear: N(sum c*m) = sum c*N(m).  The
 sweep then writes each S-pair from the stored tails of its two elements,
 with no ``Polynomial`` built, and memoises N(m) per monomial across its
 pairs, as F4 reuses a reduction across the pairs that meet it (Faugere
-1999).  On running/min the 2,220 reductions meet 5,887 distinct
-monomials, 2,072 of them memoised and 153 of those nonzero, where the
-heap popped 57,190 terms.  The memo is dropped
+1999); N(m) = 0 when the first reducer of m is a monomial, and that zero
+is neither walked nor memoised.  On running/min the 2,220 reductions
+meet 5,887 distinct monomials, 2,072 of them memoised and 153 of those
+nonzero, where the heap popped 57,190 terms.  The memo is dropped
 whenever the basis grows, since a new lead can make an irreducible
 monomial reducible.  A basis with a non-unit lead, where reduction
 depends on the size of c and leaves remainders, and where GCD-pairs
@@ -343,16 +344,19 @@ class GroebnerBasis:
         self._support: list[list[tuple[int, int]]] = []
         # (negated monomial, coefficient) of each non-lead term
         self._tails: list[list[tuple[int, int]]] = []
-        # divisibility index: bit i of _var_bits[p] is set when the lead of
-        # element i uses variable p; _candidates memoises, per term support
-        # mask, the elements whose lead support lies inside it, ascending
-        self._var_bits = [0] * table.n
+        # lead support index: support mask -> the elements whose lead has
+        # that support, ascending; _candidates memoises, per term support
+        # mask, the elements whose lead support lies inside it, ascending.
+        # Every list holds the one int object _append made for an index (an
+        # int above 256 made afresh costs 32 bytes per list entry)
+        self._by_support: dict[int, list[int]] = {}
         self._candidates: dict[int, list[int]] = {}
-        # bit i of _deg_bits[d] is set when the lead of element i has degree d
+        # bit i of _var_bits[p] is set when the lead of element i uses
+        # variable p, of _deg_bits[d] when it has degree d, of _unit_bits
+        # when its leading coefficient is 1, of _bare_bits when it has no tail
+        self._var_bits = [0] * table.n
         self._deg_bits: dict[int, int] = {}
-        # 0, 1, ...: one int object per index for all the candidate lists
-        # (an int above 256 made afresh costs 32 bytes per list entry)
-        self._index: list[int] = []
+        self._unit_bits = self._bare_bits = 0
         seen = set()
         for f in polys:
             if not f:
@@ -368,7 +372,6 @@ class GroebnerBasis:
         table = self.table
         lm, lc = table.leading(f)
         k = len(self.elements)
-        self._index.append(k)
         mask = table.mono_mask(lm)
         support = table.support(lm)
         self.elements.append(f)
@@ -380,8 +383,13 @@ class GroebnerBasis:
         self._deg_bits[deg] = self._deg_bits.get(deg, 0) | 1 << k
         self._support.append(support)
         self._tails.append([(-m, c) for m, c in f.terms.items() if m != lm])
+        self._by_support.setdefault(mask, []).append(k)
         for p, _ in support:
             self._var_bits[p] |= 1 << k
+        if lc == 1:
+            self._unit_bits |= 1 << k
+        if len(f.terms) == 1:
+            self._bare_bits |= 1 << k
         for term_mask, found in self._candidates.items():
             if not mask & ~term_mask:
                 found.append(k)
@@ -394,19 +402,41 @@ class GroebnerBasis:
         return any(abs(c) != 1 for c in self._lc)
 
     def _candidates_for(self, term_mask: int) -> list[int]:
-        """Elements whose lead support lies in ``term_mask``, ascending."""
-        absent = 0
-        for guard, users in zip(self.table._guards, self._var_bits):
-            if not term_mask & guard:
-                absent |= users
-        bits = ((1 << len(self.elements)) - 1) ^ absent
+        """Elements whose lead support lies in ``term_mask``, ascending: the
+        lead support groups of the sub-masks of ``term_mask``, the empty one
+        (a constant lead) included, or of all groups when they are fewer."""
+        groups = self._by_support
         found = []
-        while bits:
-            low = bits & -bits
-            found.append(self._index[low.bit_length() - 1])
-            bits ^= low
+        if 1 << term_mask.bit_count() > len(groups):
+            for mask, members in groups.items():
+                if not mask & ~term_mask:
+                    found += members
+        else:
+            sub = term_mask
+            while True:
+                members = groups.get(sub)
+                if members is not None:
+                    found += members
+                if not sub:
+                    break
+                sub = (sub - 1) & term_mask
+        found.sort()
         self._candidates[term_mask] = found
         return found
+
+    def _first_reducer(self, neg: int) -> int:
+        """The first element whose lead divides m = -``neg``, or -1; the
+        reducer of m when every leading coefficient is 1."""
+        guard = self.table._guard
+        mask = (neg + self.table._fill) & guard
+        candidates = self._candidates.get(mask)
+        if candidates is None:
+            candidates = self._candidates_for(mask)
+        lms = self._lm
+        for i in candidates:
+            if not (lms[i] + neg) & guard:
+                return i
+        return -1
 
     def reduce(self, f: Polynomial, certificate: bool = False):
         """Normal form: no remaining term is reducible by the basis.
@@ -488,6 +518,8 @@ class GroebnerBasis:
             g = lead + basis.reduce(f - lead)
             basis.elements[i] = g
             basis._tails[i] = [(-m, c) for m, c in g.terms.items() if m != lm]
+            if len(g.terms) == 1:
+                basis._bare_bits |= 1 << i
         order = sorted(range(len(basis)), key=basis._lm.__getitem__)
         return GroebnerBasis(self.table, [basis.elements[i] for i in order])
 
@@ -599,14 +631,17 @@ class PairSweep:
     product criterion: when the two leads are coprime and both leading
     coefficients are units, the S-polynomial has a standard representation
     over the pair itself, and no GCD-pair arises.  Over Z the criterion
-    needs the unit coefficients (Lichtblau 2012).  ``counts`` holds how
-    many pairs were met, how many of them fell in each case, and how many
+    needs the unit coefficients (Lichtblau 2012).  So when c_j is 1, the
+    disjoint pairs of unit leads under the cap are counted by popcount;
+    the other pairs are visited in ascending i.  ``counts`` holds how many
+    pairs were met, how many of them fell in each case, and how many
     reductions ``reduce`` did.
 
     While every leading coefficient is 1, ``reduce`` takes the S-pair,
     written from the stored tails, to Sum c * N(m) with N memoised until
-    the basis grows (module docstring); otherwise it builds the pair and
-    hands it to ``GroebnerBasis.reduce``.
+    the basis grows (module docstring), a term whose first reducer is a
+    monomial adding 0 at once; otherwise it builds the pair and hands it
+    to ``GroebnerBasis.reduce``.
     """
 
     def __init__(self, basis: GroebnerBasis, degree_cap: int):
@@ -628,17 +663,29 @@ class PairSweep:
         lm_j = b.table.exponents(b._lm[j])
         c_j, mask_j, deg_j = lcs[j], masks[j], degs[j]
         # a pair is under the cap only if the leads share a variable or
-        # their degrees add up to at most the cap; the others are not visited
-        near = 0
+        # their degrees add up to at most the cap, and then the lcm degree
+        # of a disjoint pair is that sum; the others are not visited
+        below = (1 << j) - 1
+        share = disjoint = 0
         for p, _ in b._support[j]:
-            near |= b._var_bits[p]
+            share |= b._var_bits[p]
+        share &= below
         for d, bits in b._deg_bits.items():
             if d + deg_j <= cap:
-                near |= bits
-        near &= (1 << j) - 1
-        out = []
-        over = j
+                disjoint |= bits
+        disjoint &= below & ~share
         monomial = criterion = 0
+        if c_j == 1:
+            # disjoint unit leads: a monomial pair when neither has a tail,
+            # else the criterion, and no GCD-pair; counted, not visited
+            units = disjoint & b._unit_bits
+            disjoint ^= units
+            if not tails[j]:
+                monomial = (units & b._bare_bits).bit_count()
+            criterion = units.bit_count() - monomial
+        near = share | disjoint
+        out = []
+        over = j - monomial - criterion
         while near:
             low = near & -near
             near ^= low
@@ -688,7 +735,7 @@ class PairSweep:
         # leads cancelled; a tail term (-K, c) moves under the lcm by the
         # addition of lm - lcm
         table, lms, tails = b.table, b._lm, b._tails
-        memo, normal_form = self._normal, self._normal_form
+        memo, first = self._normal, b._first_reducer
         neg_lcm = table._lcm_exponents(lms[i], lms[j]) - (deg << table._shift)
         out: dict[int, int] = {}
         for k, sign in ((i, 1), (j, -1)):
@@ -697,56 +744,57 @@ class PairSweep:
                 key = mm + shift
                 nf = memo.get(key)
                 if nf is None:
-                    nf = normal_form(key)
+                    r = first(key)
+                    if r < 0:
+                        nf = memo[key] = ((key, 1),)
+                    elif not tails[r]:
+                        # reduced to 0 by a monomial: not memoised
+                        continue
+                    else:
+                        nf = self._normal_form(key, r)
                 for m, v in nf:
                     out[m] = out.get(m, 0) + sign * cc * v
         # ascending -K: the order in which GroebnerBasis.reduce emits terms
         return Polynomial({-m: c for m, c in sorted(out.items()) if c})
 
-    def _normal_form(self, neg: int) -> tuple[tuple[int, int], ...]:
-        """N(m) for m = -``neg`` while every leading coefficient is 1: m
-        when no lead divides it, else -Sum cc * N(t * m / lm) over the tail
-        terms cc*t of its first reducer.  Tail terms are below the lead, so
-        an explicit stack finishes them first.  A monomial whose first
-        reducer is a monomial is 0 from that one lookup and is not stored;
-        every other zero is the one empty tuple.
+    def _normal_form(self, neg: int, i: int) -> tuple[tuple[int, int], ...]:
+        """N(m) for m = -``neg`` while every leading coefficient is 1, where
+        i, the first reducer of m, has a tail: -Sum cc * N(t * m / lm_i)
+        over the tail terms cc*t of i.  Tail terms are below the lead, so an
+        explicit stack finishes them first.  A term no lead divides is its
+        own normal form; one whose first reducer is a monomial is 0 and is
+        not stored; every other zero is the one empty tuple.
         """
         b = self.basis
-        guard, fill = b.table._guard, b.table._fill
-        lms, tails, index = b._lm, b._tails, b._candidates
+        lms, tails, first = b._lm, b._tails, b._first_reducer
         memo = self._normal
-        stack = [(neg, -1)]
+        # (top, i): expand top by its reducer i; (top, ~i): its tail terms
+        # are done, so sum them
+        stack = [(neg, i)]
         while stack:
             top, i = stack.pop()
             if i < 0:
-                if top in memo:
-                    continue
-                mask = (top + fill) & guard
-                candidates = index.get(mask)
-                if candidates is None:
-                    candidates = b._candidates_for(mask)
-                for i in candidates:
-                    if not (lms[i] + top) & guard:
-                        break
-                else:
-                    memo[top] = ((top, 1),)
-                    continue
-                if not tails[i]:
-                    continue
-                # come back to top once the tail terms under it are done
-                stack.append((top, i))
-                shift = lms[i] + top
-                for mm, _ in tails[i]:
-                    if mm + shift not in memo:
-                        stack.append((mm + shift, -1))
+                shift = lms[~i] + top
+                acc: dict[int, int] = {}
+                for mm, cc in tails[~i]:
+                    for m, v in memo.get(mm + shift, ()):
+                        acc[m] = acc.get(m, 0) - cc * v
+                memo[top] = tuple((m, v) for m, v in acc.items() if v)
                 continue
+            if top in memo:
+                continue
+            stack.append((top, ~i))
             shift = lms[i] + top
-            acc: dict[int, int] = {}
-            for mm, cc in tails[i]:
-                for m, v in memo.get(mm + shift, ()):
-                    acc[m] = acc.get(m, 0) - cc * v
-            memo[top] = tuple((m, v) for m, v in acc.items() if v)
-        return memo.get(neg, ())
+            for mm, _ in tails[i]:
+                t = mm + shift
+                if t in memo:
+                    continue
+                r = first(t)
+                if r < 0:
+                    memo[t] = ((t, 1),)
+                elif tails[r]:
+                    stack.append((t, r))
+        return memo[neg]
 
     def witness(self) -> GroebnerWitness | None:
         """The first pair whose normal form is nonzero, or None."""

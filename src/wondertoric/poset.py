@@ -511,13 +511,23 @@ class BlowupPoset:
         return self.nested_by_key[label]
 
     def is_locally_boolean(self) -> bool:
-        for label in self.poset.labels:
-            s = self.nested_by_key[label].members
-            down = self.poset.downset(label)
-            if len(down) != 1 << len(s):
+        """Does every (S, x) have 2^|S| faces below it, with distinct member
+        sets?  A label is (sorted member positions, x), so member sets are
+        bitsets over the positions, and only the faces in ``shared``, whose
+        member set another face has too, can repeat one in a down-set."""
+        p = self.poset
+        members = [sum(1 << q for q in label[0]) for label in p.labels]
+        first, shared = {}, 0
+        for i, m in enumerate(members):
+            j = first.setdefault(m, i)
+            if j != i:
+                shared |= 1 << i | 1 << j
+        for i, down in enumerate(p._down):
+            if down.bit_count() != 1 << members[i].bit_count():
                 return False
-            subsets = {self.nested_by_key[d].members for d in down}
-            if len(subsets) != len(down):
+            common = down & shared
+            if (common & (common - 1) and len({members[j] for j in _bits(common)})
+                    != common.bit_count()):
                 return False
         return True
 

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .arrangement import name_layers, poset_of_layers
-from .fan import Fan, is_smooth, restrict_fan
+from .fan import Fan, check_pseudomanifold, is_smooth, restrict_fan
 from .intlinalg import Sublattice, complement_basis, hnf
 from .polyring import (
     GroebnerBasis,
@@ -591,6 +591,7 @@ def presentation_from_arrangement(arrangement, fan: Fan, selector="min",
     """
     if not is_smooth(fan):
         raise ValueError("the fan must be smooth")
+    check_pseudomanifold(fan)
     poset = poset_of_layers(arrangement)
     building = make_building_set(poset, select_building(poset, selector), order)
     lattices = {layer: layer.lattice for layer in poset.labels}

@@ -61,6 +61,22 @@ def test_repeated_ray_index_in_a_cone_is_an_input_error(tmp_path, capsys, data_d
     assert "input error: maximal cone [0, 0] repeats a ray index" in err
 
 
+def test_fan_with_a_cone_removed_is_an_input_error(tmp_path, capsys, data_dir):
+    # once reported ranks [1, 6, 0] with "groebner verified: True", exit 0
+    fan = json.loads((data_dir / "a22.fan.json").read_text())
+    fan["max_cones"] = fan["max_cones"][1:]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan))
+    code, out, err = run_cli(capsys, [
+        "model-betti", "--arrangement", fixture_path(data_dir, "a22.arr.json"),
+        "--fan", str(path)])
+    assert (code, out) == (2, "")
+    assert "input error: facet [4] should lie in 2 maximal cones, but lies in 1" in err
+    arr = cli.parse_arrangement(fixture_path(data_dir, "a22.arr.json"), [])
+    with pytest.raises(ValueError, match=r"facet \[4\] should lie in 2"):
+        presentation_from_arrangement(arr, cli.parse_fan(str(path), []))
+
+
 def test_missing_max_cones(tmp_path, capsys, data_dir):
     bad = tmp_path / "fan.json"
     bad.write_text(json.dumps({"ambient_rank": 2, "rays": [[1, 0]]}))

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
+from wondertoric.arrangement import poset_of_layers
 from wondertoric.fan import (
+    check_pseudomanifold,
     coverage_probe,
     equal_sign_search,
     interior_condition,
@@ -8,7 +12,7 @@ from wondertoric.fan import (
     make_fan,
     restrict_fan,
 )
-from wondertoric.fixtures import a22_fan, running_fan, running_named_layers
+from wondertoric.fixtures import a22_fan, a_n_c, running_fan, running_named_layers
 from wondertoric.intlinalg import Sublattice
 
 
@@ -80,6 +84,73 @@ def test_minimal_nonfaces_running(fan):
     nf = fan.minimal_nonfaces()
     assert all(len(s) == 2 for s in nf)
     assert len(nf) == 14 * 13 // 2 - 36
+
+
+def enumerated_nonfaces(fan):
+    """Every ray set of 2 up to one more than the largest cone's size, kept
+    when it is no face and holds none of those kept before it."""
+    faces = fan.cones()
+    found = []
+    for k in range(2, max((len(c) for c in fan.max_cones), default=1) + 2):
+        for combo in itertools.combinations(range(fan.nrays), k):
+            s = frozenset(combo)
+            if s not in faces and not any(nf <= s for nf in found):
+                found.append(s)
+    found.sort(key=lambda s: (len(s), sorted(s)))
+    return found
+
+
+def restricted_fans():
+    for fan, arr in ((running_fan(), None), (a22_fan(), a_n_c(2, 2))):
+        layers = (running_named_layers().values() if arr is None
+                  else poset_of_layers(arr).labels)
+        for layer in layers:
+            yield restrict_fan(fan, layer.lattice)
+
+
+def test_minimal_nonfaces_match_enumeration():
+    # an empty triangle: the nonface {0, 1, 2} has every pair as a face
+    hollow = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                      [{0, 1}, {1, 2}, {0, 2}, {0, 3}])
+    # a ray in no cone: every pair holding it is a nonface, beside {0, 1, 2}
+    unused = make_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)],
+                      [{0, 1}, {1, 2}, {0, 2}])
+    fans = [running_fan(), a22_fan(), hollow, unused, *restricted_fans()]
+    for fan in fans:
+        assert fan.minimal_nonfaces() == enumerated_nonfaces(fan)
+    assert frozenset({0, 1, 2}) in hollow.minimal_nonfaces()
+    assert len(unused.minimal_nonfaces()) == 4
+
+
+def test_complete_fans_are_pseudomanifolds():
+    for fan in (running_fan(), a22_fan(), *restricted_fans()):
+        check_pseudomanifold(fan)
+
+
+def test_fan_with_a_cone_removed_is_no_pseudomanifold():
+    for fan in (running_fan(), a22_fan()):
+        holed = make_fan(fan.ambient_rank, fan.rays, fan.max_cones[1:])
+        with pytest.raises(ValueError, match=r"facet \[.*\] should lie in 2 "
+                           "maximal cones, but lies in 1"):
+            check_pseudomanifold(holed)
+
+
+def test_fan_with_an_overlapping_or_short_cone_or_a_stray_ray_is_no_pseudomanifold():
+    fan = a22_fan()
+    rays = fan.rays + ((1, 1),)
+    # (1, 1) lies inside the cone of (0, 1) and (1, 0), rays 0 and 7
+    overlap = make_fan(2, rays, [*fan.max_cones, {0, 8}, {7, 8}])
+    with pytest.raises(ValueError, match=r"facet \[0\] should lie in 2 "
+                       "maximal cones, but lies in 3"):
+        check_pseudomanifold(overlap)
+    short = make_fan(2, fan.rays, [*fan.max_cones, {0}])
+    with pytest.raises(ValueError, match=r"maximal cone \[0\] has 1 rays, not 2"):
+        check_pseudomanifold(short)
+    with pytest.raises(ValueError, match="no maximal cones"):
+        check_pseudomanifold(make_fan(2, fan.rays, []))
+    # once read as a fan with one more ray: Betti [1, 7, 1], verified
+    with pytest.raises(ValueError, match=r"ray 8 \[1, 1\] lies in no maximal cone"):
+        check_pseudomanifold(make_fan(2, rays, fan.max_cones))
 
 
 def test_interior_condition_running(fan, named):

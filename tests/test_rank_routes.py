@@ -20,6 +20,11 @@ same normal forms and certificates.  ``PairSweep.reduce`` memoises the
 normal form of each monomial while every leading coefficient is 1; its
 reference, ``heap_pair_reduce``, builds the pair's polynomial and hands
 it to ``GroebnerBasis.reduce``.
+
+The sweep's reducer lists come from an index of lead supports, and
+``pairs_with`` counts the disjoint pairs of unit leads by popcount:
+``scan_candidates`` finds the reducers by a scan of the variables, and
+``visiting_pairs_with`` visits every pair under the cap.
 """
 
 from heapq import heapify, heappop, heappush
@@ -688,12 +693,15 @@ def test_pair_reduce_matches_heap_on_models(model):
 @st.composite
 def sweep_bases(draw):
     """A weighted basis, half the time with every leading coefficient set
-    to 1 (the memo route), and a degree cap from 0 to 8."""
+    to 1 (the memo route), else with some of them set to 1, and a degree
+    cap from 0 to 8."""
     basis, _ = draw(weighted_bases())
-    if draw(st.booleans()):
-        basis = GroebnerBasis(basis.table, [
-            Polynomial({**f.terms, lm: 1})
-            for f, lm in zip(basis.elements, basis._lm)])
+    n = len(basis)
+    unit = [True] * n if draw(st.booleans()) else draw(
+        st.lists(st.booleans(), min_size=n, max_size=n))
+    basis = GroebnerBasis(basis.table, [
+        Polynomial({**f.terms, lm: 1}) if one else f
+        for f, lm, one in zip(basis.elements, basis._lm, unit)])
     return basis, draw(st.integers(0, 8))
 
 
@@ -701,6 +709,161 @@ def sweep_bases(draw):
 @given(sweep_bases())
 def test_pair_reduce_matches_heap_on_weighted_tables(basis_cap):
     assert_pairs_match_heap(*basis_cap)
+
+
+def test_sweep_memoises_no_monomial_zero(model):
+    # a term whose first reducer is a monomial reduces to 0 at once; only
+    # the other normal forms are kept
+    basis = GroebnerBasis(model.table, model.alpha())
+    sweep = PairSweep(basis, model.degree_cap)
+    assert sweep.witness() is None
+    assert sweep._normal
+    for key in sweep._normal:
+        first = basis._first_reducer(key)
+        assert first < 0 or basis._tails[first], key
+
+
+# -- the lead-support index and the bulk pair counts against scans ------------
+
+
+def scan_candidates(basis, term_mask):
+    """The elements whose lead support lies in ``term_mask``, by a scan of
+    the variables: every element whose lead uses no variable outside it."""
+    absent = 0
+    for guard, users in zip(basis.table._guards, basis._var_bits):
+        if not term_mask & guard:
+            absent |= users
+    bits = ((1 << len(basis)) - 1) ^ absent
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
+    return found
+
+
+def visiting_pairs_with(sweep, j):
+    """``pairs_with(j)`` and its counts, visiting every pair whose leads
+    share a variable or whose lead degrees add up to at most the cap (the
+    others are over it): the lcm degree, the monomial case and the
+    criterion, pair by pair."""
+    b = sweep.basis
+    weights, cap = b.table.weights, sweep.degree_cap
+    lcs, masks, degs, tails = b._lc, b._mask, b._deg, b._tails
+    lm_j = b.table.exponents(b._lm[j])
+    c_j, mask_j, deg_j = lcs[j], masks[j], degs[j]
+    near = 0
+    for p, _ in b._support[j]:
+        near |= b._var_bits[p]
+    for d, bits in b._deg_bits.items():
+        if d + deg_j <= cap:
+            near |= bits
+    counts = {"pairs": j, "over_cap": j, "monomial": 0, "criterion": 0}
+    out = []
+    for i in range(j):
+        if not near >> i & 1:
+            continue
+        deg = degs[i] + deg_j
+        common = masks[i] & mask_j
+        if common:
+            for p, e in b._support[i]:
+                deg -= weights[p] * min(e, lm_j[p])
+        if deg > cap:
+            continue
+        counts["over_cap"] -= 1
+        c_i = lcs[i]
+        if not tails[j] and not tails[i]:
+            counts["monomial"] += 1
+        elif not common and c_i == 1 and c_j == 1:
+            counts["criterion"] += 1
+            continue
+        else:
+            out.append((deg, i, j, "S"))
+        if c_i % c_j and c_j % c_i:
+            out.append((deg, i, j, "G"))
+    return out, counts
+
+
+def assert_pairs_match_visits(basis, cap):
+    """Every ``pairs_with(j)`` lists the visited pairs, in order, and the
+    sweep's counts are the visits' totals."""
+    sweep = PairSweep(basis, cap)
+    totals = dict.fromkeys(("pairs", "over_cap", "monomial", "criterion"), 0)
+    for j in range(len(basis)):
+        want, counts = visiting_pairs_with(sweep, j)
+        assert sweep.pairs_with(j) == want, j
+        for key, n in counts.items():
+            totals[key] += n
+    assert sweep.counts == {**totals, "reduced": 0}
+    return totals
+
+
+def test_candidates_match_variable_scan_on_models(model):
+    basis = GroebnerBasis(model.table, model.alpha())
+    assert PairSweep(basis, model.degree_cap).witness() is None
+    fresh = GroebnerBasis(model.table, model.alpha())
+    assert len(basis._candidates) > 40
+    for mask, found in basis._candidates.items():
+        want = scan_candidates(basis, mask)
+        assert found == want and fresh._candidates_for(mask) == want, mask
+
+
+def test_pairs_match_visits_on_models(model):
+    totals = assert_pairs_match_visits(GroebnerBasis(model.table, model.alpha()),
+                                       model.degree_cap)
+    assert totals["monomial"] and totals["criterion"]
+
+
+@st.composite
+def indexed_bases(draw):
+    """A weighted basis that may hold a constant, with every support mask of
+    its table: both the walk over sub-masks and the walk over groups."""
+    basis, _ = draw(weighted_bases())
+    table = basis.table
+    if draw(st.booleans()):
+        basis._append(table.const(draw(st.integers(1, 3))))
+    masks = [sum(g for p, g in enumerate(table._guards) if bits >> p & 1)
+             for bits in range(1 << table.n)]
+    return basis, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexed_bases())
+def test_candidates_match_variable_scan_on_weighted_tables(basis_masks):
+    basis, masks = basis_masks
+    for mask in masks:
+        assert basis._candidates_for(mask) == scan_candidates(basis, mask), mask
+    # the memo follows the basis as it grows
+    basis._append(basis.table.term(1, basis.table.encode((1,) * basis.table.n)))
+    for mask in masks:
+        assert basis._candidates[mask] == scan_candidates(basis, mask), mask
+
+
+def test_candidates_include_a_constant_lead():
+    t = VariableTable("xyz", (1,) * 3, "xyz", ("c",) * 3)
+    basis = GroebnerBasis(t, [t.term(1, t.variable("x")), t.const(2),
+                              t.term(1, t.variable("y"))])
+    x = t.mono_mask(t.variable("x"))
+    # three groups: the sub-masks of x and of 1, then the groups for x*y*z
+    assert basis._candidates_for(x) == [0, 1]
+    assert basis._candidates_for(0) == [1]
+    assert basis._candidates_for(t._guard) == [0, 1, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_bases())
+def test_pairs_match_visits_on_weighted_tables(basis_cap):
+    assert_pairs_match_visits(*basis_cap)
+
+
+def test_disjoint_pair_with_a_non_unit_lead_is_reduced():
+    # x^2 and y^2 share no variable, but 2*x^2 is no unit lead: the product
+    # criterion does not apply over Z, and the S-pair is reduced
+    t = VariableTable("xy", (1, 1), "xy", ("c", "c"))
+    x, y = t.variable("x"), t.variable("y")
+    basis = GroebnerBasis(t, [t.poly({x + x: 2, x + y: 1}), t.term(1, y + y)])
+    assert PairSweep(basis, 4).pairs_with(1) == [(4, 0, 1, "S")]
+    assert assert_pairs_match_visits(basis, 4)["criterion"] == 0
 
 
 def test_buchberger_forgets_normal_forms_when_the_basis_grows(monkeypatch):

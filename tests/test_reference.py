@@ -16,7 +16,9 @@ The building-set and nested-set oracles enumerate every subset and then
 filter it; the library grows sets depth-first and cuts a branch as soon
 as it fails, and must give the same sets, nested sets in the same order.
 The blowup-poset oracle compares every pair of faces; the library orders
-the faces by their facets alone.
+the faces by their facets alone.  The locally-boolean oracle lists each
+down-set by label and hashes its member sets; the library counts the
+bits of each down-mask and compares member sets as bitsets.
 
 The order oracles close relations by iterating to a fixpoint, sort the
 members of a building set by a greedy topological sort, and test an
@@ -340,6 +342,18 @@ def ref_blowup_poset(p, building):
     labels = [ns.key(member_pos) for ns in faces]
     ranks = {ns.key(member_pos): len(ns) for ns in faces}
     return RankedPoset(labels, ranks, pairs), {ns.key(member_pos): ns.x for ns in faces}
+
+
+def ref_is_locally_boolean(bl):
+    """Every face has 2^|S| faces below it, with distinct member sets, by
+    the labels of each down-set and a set of their member sets."""
+    for label in bl.poset.labels:
+        down = bl.poset.downset(label)
+        if len(down) != 1 << len(bl.nested_by_key[label].members):
+            return False
+        if len({bl.nested_by_key[d].members for d in down}) != len(down):
+            return False
+    return True
 
 
 # -- comparisons -------------------------------------------------------------
@@ -676,6 +690,7 @@ def assert_blowup_poset_agrees(p, selector):
     assert bl.poset.covers() == ref.covers()
     assert bl.covers == ref.covers()
     assert bl.pi == ref_pi
+    assert bl.is_locally_boolean() == ref_is_locally_boolean(bl)
 
 
 @pytest.mark.parametrize("name, selector", [
@@ -694,6 +709,31 @@ def test_blowup_poset_matches_reference_random(arr, selector):
     p = poset_of_layers(arr)
     assume(len(p) - 1 <= 16)
     assert_blowup_poset_agrees(p, selector)
+
+
+def labelled_blowup(faces, relations):
+    """A ``BlowupPoset`` over the faces (member positions, x), whose members
+    are their positions, ordered by ``relations``."""
+    bl = BlowupPoset.__new__(BlowupPoset)
+    bl.nested_by_key = {face: NestedSet(frozenset(face[0]), face[1]) for face in faces}
+    bl.poset = RankedPoset(faces, {face: len(face[0]) for face in faces}, relations)
+    return bl
+
+
+def test_locally_boolean_fails_on_a_missing_or_repeated_face():
+    zero, a, b, a2, top = ((), "0"), ((0,), "a"), ((1,), "b"), ((0,), "a2"), ((0, 1), "t")
+    square = [zero, a, b, top]
+    below = [(zero, a), (zero, b), (a, top)]
+    cases = [
+        (labelled_blowup(square, below + [(b, top)]), True),
+        # {1} is not below {0, 1}: three faces below it, not four
+        (labelled_blowup(square, below), False),
+        # four faces below {0, 1}, two of them with the member set {0}
+        (labelled_blowup([zero, a, a2, top], [(zero, a), (zero, a2), (a, top), (a2, top)]),
+         False),
+    ]
+    for bl, boolean in cases:
+        assert bl.is_locally_boolean() == ref_is_locally_boolean(bl) == boolean
 
 
 def test_missing_face_is_an_error(monkeypatch):
