@@ -15,17 +15,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .intlinalg import Sublattice, hnf, is_saturated, snf
 from .poset import RankedPoset
 
 
-def _numerators(values) -> tuple[int, list[int]]:
+def _numerators(values) -> tuple[int, tuple[int, ...]]:
     """The common denominator of ``values`` and their numerators over it."""
     den = lcm(*(w.denominator for w in values))
-    return den, [w.numerator * (den // w.denominator) for w in values]
+    return den, tuple(w.numerator * (den // w.denominator) for w in values)
 
 
 def _phase_sums(matrix, den: int, nums) -> tuple[Fraction, ...]:
@@ -133,25 +133,17 @@ def _meet_lattices(l1: Sublattice, l2: Sublattice) -> tuple:
     return res.left[:r], res.invariant_factors, res.left[r:], lattice, coeffs
 
 
-def intersect_layers(k1: Layer, k2: Layer, meets: dict | None = None) -> list[Layer]:
-    """Connected components of the intersection of two layers.
-
-    Empty when the phases are inconsistent on the common lattice;
-    otherwise one layer per extension of the combined phase to the
-    saturation of the combined lattice, in canonical order.  The lattice
-    work depends on the unordered pair of lattices only, so it takes one
-    Smith form per pair: a caller that intersects many layers passes one
-    dict as ``meets`` to keep it.
-    """
-    if k1.ambient_rank != k2.ambient_rank:
-        raise ValueError("ambient rank mismatch")
+def _components(k1: Layer, k2: Layer, meets: dict) -> list:
+    """The components of the intersection of two layers, in no order:
+    ``k1`` or ``k2`` itself when it lies in the other, else keys
+    ``(lattice, den, numerators)`` of phases reduced modulo one and to
+    lowest terms, i.e. ``(layer.lattice, *layer._nums)`` of the layer named.
+    ``meets`` keeps the Smith form of each unordered pair of lattices."""
     if k1.lattice == k2.lattice:
         # translates of one subtorus are equal or disjoint
         return [k1] if k1.phase == k2.phase else []
     if k2.lattice.basis < k1.lattice.basis:
         k1, k2 = k2, k1
-    if meets is None:
-        meets = {}
     key = (k1.lattice, k2.lattice)
     if key not in meets:
         meets[key] = _meet_lattices(*key)
@@ -162,13 +154,46 @@ def intersect_layers(k1: Layer, k2: Layer, meets: dict | None = None) -> list[La
     # the phase is a well-defined homomorphism iff it kills the relations
     if any(sum(map(mul, row, nums)) % den for row in relations):
         return []
+    # one lattice holds the other and the phases agree: the layer on the
+    # larger lattice lies in the other one
+    if lattice == k1.lattice:
+        return [k1]
+    if lattice == k2.lattice:
+        return [k2]
     # extension t on saturation row i is (w_i + t den) / (den d_i); each
     # d_i divides the last one, so all are numerators over den * d_last
     top = factors[-1]
     choices = [[(sum(map(mul, row, nums)) % den + t * den) * (top // d)
                 for t in range(d)] for row, d in zip(lifts, factors)]
-    out = [Layer(lattice, _phase_sums(coeffs, den * top, values))
-           for values in itertools.product(*choices)]
+    den *= top
+    out = []
+    for values in itertools.product(*choices):
+        phase = [sum(map(mul, row, values)) % den for row in coeffs]
+        g = gcd(den, *phase)
+        out.append((lattice, den // g, tuple(w // g for w in phase)))
+    return out
+
+
+def _layer(lattice: Sublattice, den: int, nums) -> Layer:
+    """The layer a key of :func:`_components` names."""
+    return Layer(lattice, tuple(Fraction(w, den) for w in nums))
+
+
+def intersect_layers(k1: Layer, k2: Layer, meets: dict | None = None) -> list[Layer]:
+    """Connected components of the intersection of two layers.
+
+    Empty when the phases are inconsistent on the common lattice;
+    otherwise one layer per extension of the combined phase to the
+    saturation of the combined lattice, in canonical order.  The lattice
+    work depends on the unordered pair of lattices only, so it takes one
+    Smith form per pair: a caller that intersects many layers passes one
+    dict as ``meets`` to keep it.  The layers are built from the keys of
+    :func:`_components`, which ``poset_of_layers`` uses directly.
+    """
+    if k1.ambient_rank != k2.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    out = [c if isinstance(c, Layer) else _layer(*c)
+           for c in _components(k1, k2, {} if meets is None else meets)]
     out.sort(key=Layer.sort_key)
     return out
 
@@ -200,30 +225,44 @@ def poset_of_layers(arr: ToricArrangement) -> RankedPoset:
     Elements of the returned poset are the :class:`Layer` values
     themselves (the whole torus is the minimum), ranked by codimension.
 
-    Each layer meets each distinct subtorus once.  That finds every layer:
-    a component L of the intersection of a set S of subtori is a component
-    of C ∩ h, for h in S and C the component of the intersection of S - h
-    that contains L.  The meets also give the order: when L < M, some
-    subtorus h containing M does not contain L, so M lies in a component
-    C != L of L ∩ h, and L < C <= M.  The pairs (L, C) generate the order.
+    Each layer meets each distinct subtorus at most once.  That finds every
+    layer: a component L of the intersection of a set S of subtori is a
+    component of C ∩ h, for h in S and C the component of the intersection
+    of S - h that contains L.  The meets also give the order: when L < M,
+    some subtorus h containing M does not contain L, so M lies in a
+    component C != L of L ∩ h, and L < C <= M.  The pairs (L, C) generate
+    the order.
+
+    A meet L ∩ h with h containing L is L itself and gives no pair, so it
+    is skipped whenever the walk already knows that h contains L: each
+    subtorus contains itself, and a component C of L ∩ h lies in h and in
+    every subtorus known to contain L.  A layer is built once, the first
+    time its key comes out of a meet.
     """
     zero = Layer.whole_torus(arr.ambient_rank)
     subtori = sorted(set(arr.subtori), key=Layer.sort_key)
-    layers = {zero, *subtori}
+    made = {(h.lattice, *h._nums): h for h in subtori}
+    # inside[c]: bit i set when subtori[i] is known to contain c
+    inside = {h: 1 << i for i, h in enumerate(subtori)}
     pairs = [(zero, h) for h in subtori]
     frontier, meets = subtori, {}
     while frontier:
-        new = set()
+        new = []
         for a in frontier:
-            for h in subtori:
-                for c in intersect_layers(a, h, meets):
+            for i, h in enumerate(subtori):
+                if inside[a] >> i & 1:
+                    continue
+                for c in _components(a, h, meets):
+                    if not isinstance(c, Layer):
+                        if c not in made:
+                            made[c] = _layer(*c)
+                            new.append(made[c])
+                        c = made[c]
                     if c.rank > a.rank:  # c lies in a, so c != a
                         pairs.append((a, c))
-                        if c not in layers:
-                            new.add(c)
-        layers |= new
+                        inside[c] = inside.get(c, 0) | inside[a] | 1 << i
         frontier = sorted(new, key=Layer.sort_key)
-    ordered = sorted(layers, key=Layer.sort_key)
+    ordered = sorted([zero, *made.values()], key=Layer.sort_key)
     return RankedPoset(ordered, {x: x.rank for x in ordered}, pairs)
 
 

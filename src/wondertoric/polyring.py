@@ -566,14 +566,6 @@ class GroebnerBasis:
         return sorted(levels[d], reverse=True)
 
 
-def s_polynomial(table: VariableTable, f: Polynomial, g: Polynomial) -> Polynomial:
-    return _s_pair(table, f, table.leading(f), g, table.leading(g))
-
-
-def gcd_polynomial(table: VariableTable, f: Polynomial, g: Polynomial) -> Polynomial:
-    return _gcd_pair(table, f, table.leading(f), g, table.leading(g))
-
-
 def _s_pair(table: VariableTable, f: Polynomial, lead_f, g: Polynomial,
             lead_g) -> Polynomial:
     """S-polynomial of f and g given their ``(monomial, coefficient)`` leads."""

@@ -10,14 +10,22 @@ from wondertoric.polyring import (
     PairSweep,
     Polynomial,
     VariableTable,
+    _gcd_pair,
+    _s_pair,
     buchberger,
-    gcd_polynomial,
     graded_rank_oracle,
     groebner_witness,
     is_groebner,
-    s_polynomial,
 )
 from wondertoric.presentation import presentation_from_arrangement
+
+
+def s_polynomial(table, f, g):
+    return _s_pair(table, f, table.leading(f), g, table.leading(g))
+
+
+def gcd_polynomial(table, f, g):
+    return _gcd_pair(table, f, table.leading(f), g, table.leading(g))
 
 
 def table3():

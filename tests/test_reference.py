@@ -5,9 +5,10 @@ and ``blowup_at``: the poset of layers intersects every ordered pair of
 layers (the whole torus included), computes phases one ``Fraction``
 product at a time and lists every order pair by label; the blowup builds
 its order as a list of label pairs.  The library meets each layer with
-the subtori only and reads the order from those meets; its versions work
-on cached hashes, integer indices and bitmasks, and must give the same
-labels, in the same order, with the same ranks and the same order.
+the subtori only, skips those known to contain it, and reads the order
+from those meets; its versions work on cached hashes, integer indices
+and bitmasks, and must give the same labels, in the same order, with the
+same ranks and the same order.
 The iterated-blowup oracle runs ``ref_blowup_at`` one center at a time
 and decodes each new label by its center, x and y; the library blows up
 on one index space that only grows and builds one poset at the end.
@@ -29,6 +30,7 @@ by rank alone and tests a product by meets.
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -36,7 +38,13 @@ from hypothesis import strategies as st
 
 from wondertoric import arrangement
 from wondertoric import poset as poset_module
-from wondertoric.arrangement import Layer, ToricArrangement, poset_of_layers
+from wondertoric.arrangement import (
+    Layer,
+    ToricArrangement,
+    intersect_layers,
+    layer_leq,
+    poset_of_layers,
+)
 from wondertoric.fixtures import (
     a_n_c,
     boolean_poset,
@@ -460,10 +468,11 @@ def _layer_or_none(rank, rows, nums, q):
         return None
 
 
-def subtori(rank, q):
-    """Connected subtori of codimension 1 to rank - 1 with phases a/q."""
+def subtori(rank, q, most=None):
+    """Connected subtori of codimension 1 to ``most`` (rank - 1 if None)
+    with phases a/q."""
     entries = st.integers(-2, 2)
-    return st.integers(1, rank - 1).flatmap(lambda codim: st.builds(
+    return st.integers(1, most or rank - 1).flatmap(lambda codim: st.builds(
         _layer_or_none, st.just(rank),
         st.lists(st.lists(entries, min_size=rank, max_size=rank),
                  min_size=codim, max_size=codim),
@@ -488,6 +497,33 @@ def test_poset_of_layers_matches_reference_random(arr):
     p = poset_of_layers(arr)
     assert_same_poset(p, ref_poset_of_layers(arr))
     assert_blowups_agree(p)
+
+
+@st.composite
+def nesting_arrangements(draw):
+    """Hypersurfaces in rank 2 or 3 with phases p/q, q <= 3, plus some
+    components of their pairwise meets, all listed in shuffled order: many
+    subtori lie in others, which is where the walk skips meets."""
+    rank = draw(st.sampled_from((2, 3)))
+    q = draw(st.integers(1, 3))
+    surfaces = draw(st.lists(subtori(rank, q, 1), min_size=2,
+                             max_size=4 if rank == 2 else 3))
+    meets = sorted({c for a, b in itertools.combinations(surfaces, 2)
+                    for c in ref_intersect(a, b)}, key=Layer.sort_key)
+    extra = draw(st.lists(st.sampled_from(meets), max_size=3)) if meets else []
+    return ToricArrangement(rank, tuple(draw(st.permutations(surfaces + extra))))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(nesting_arrangements())
+def test_poset_of_layers_matches_reference_nesting(arr):
+    p, met = recorded_meets(arr)
+    assert_same_poset(p, ref_poset_of_layers(arr))
+    assert_meets_follow_masks(arr, p, met)
+    meets = {}
+    for a, b in itertools.product(p.labels, repeat=2):
+        assert intersect_layers(a, b, meets) == ref_intersect(a, b), (a, b)
 
 
 @settings(max_examples=60, deadline=None,
@@ -602,15 +638,41 @@ def test_translates_match_reference(arr):
     assert_same_poset(poset_of_layers(arr), ref_poset_of_layers(arr))
 
 
-def test_each_layer_meets_each_subtorus_once(monkeypatch):
-    original_intersect = arrangement.intersect_layers
-    original_meet, original_snf = arrangement._meet_lattices, arrangement.snf
+def recorded_meets(arr):
+    """``poset_of_layers(arr)`` and its ``_components`` calls, in order, as
+    (a, h, components) with every component a layer."""
+    original = arrangement._components
+    met = []
 
-    def counting(a, b, *args):
-        met.append((a, b))
-        if a.lattice != b.lattice:
-            lattice_pairs.add(frozenset((a.lattice, b.lattice)))
-        return original_intersect(a, b, *args)
+    def recording(a, h, *args):
+        out = original(a, h, *args)
+        met.append((a, h, [c if isinstance(c, Layer) else arrangement._layer(*c)
+                           for c in out]))
+        return out
+
+    with mock.patch.object(arrangement, "_components", recording):
+        return poset_of_layers(arr), met
+
+
+def assert_meets_follow_masks(arr, p, met):
+    """Each layer meets each subtorus at most once, and leaves out exactly
+    the subtori the walk knows to contain it: a subtorus contains itself,
+    and a component c of a ∩ h lies in h and in what contains a."""
+    done = [(a, h) for a, h, _ in met]
+    everything = {(a, h) for a in p.labels if a != p.zero for h in set(arr.subtori)}
+    assert len(done) == len(set(done)) and set(done) <= everything
+    assert all(layer_leq(h, a) for a, h in everything - set(done))
+    known = {h: {h} for h in arr.subtori}
+    for a, h, out in met:
+        assert h not in known[a], (a, h)
+        for c in out:
+            if c.rank > a.rank:
+                known[c] = known.get(c, set()) | known[a] | {h}
+    assert all(h in known[a] for a, h in everything - set(done))
+
+
+def test_each_layer_meets_each_subtorus_once(monkeypatch):
+    original_meet, original_snf = arrangement._meet_lattices, arrangement.snf
 
     def counting_meet(l1, l2):
         smith.append(frozenset((l1, l2)))
@@ -620,21 +682,21 @@ def test_each_layer_meets_each_subtorus_once(monkeypatch):
         snf_calls.append(args)
         return original_snf(*args, **kwargs)
 
-    monkeypatch.setattr(arrangement, "intersect_layers", counting)
     monkeypatch.setattr(arrangement, "_meet_lattices", counting_meet)
     monkeypatch.setattr(arrangement, "snf", counting_snf)
     translate_heavy = ToricArrangement(3, tuple(
         translates(3, [[1, 0, 0]], 3) + translates(3, [[0, 1, 0]], 2)
         + translates(3, [[1, 1, 1]], 3) + translates(3, [[0, 1, 0], [0, 0, 1]], 2)))
-    for arr in (a_n_c(3, 2), translate_heavy):
-        met, lattice_pairs, smith, snf_calls = [], set(), [], []
-        p = poset_of_layers(arr)
-        assert len(met) == len(set(met))
-        assert set(met) == {(a, h) for a in p.labels if a != p.zero
-                            for h in set(arr.subtori)}
+    # (layer, subtorus) pairs, and the meets the masks leave of them
+    for arr, pairs, made in ((a_n_c(3, 2), 39, 12), (translate_heavy, 756, 602)):
+        smith, snf_calls = [], []
+        p, met = recorded_meets(arr)
+        assert_meets_follow_masks(arr, p, met)
+        assert (len(p) - 1) * len(set(arr.subtori)) == pairs and len(met) == made
         # the Smith form runs at most once per unordered pair of distinct lattices
         assert len(snf_calls) == len(smith) == len(set(smith))
-        assert set(smith) <= lattice_pairs
+        assert set(smith) <= {frozenset((a.lattice, h.lattice))
+                              for a, h, _ in met if a.lattice != h.lattice}
 
 
 def _hypersurface(rank, row, phase=0):
