@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""The smooth 14-ray fan, smoothness checks and annihilator restrictions.
+"""The smooth 14-ray fan, the exact fan check and annihilator restrictions.
 
-The fan is complete and smooth, and restricting it to the annihilator of
+The fan is complete and smooth, as ``check_fan`` decides, and restricting it to the annihilator of
 a layer's character lattice produces the fan of that layer's closure: a
 projective line for the curve c, a product of two projective lines for
 the hypertorus a, and the trivial fan for the three points.
 """
 
-from wondertoric import equal_sign_search, interior_condition, is_smooth, restrict_fan
+from wondertoric import check_fan, equal_sign, interior_condition, is_smooth, restrict_fan
 from wondertoric.fixtures import running_fan, running_named_layers
 
 fan = running_fan()
@@ -15,6 +15,8 @@ named = running_named_layers()
 
 print(f"rays: {fan.nrays}, maximal cones: {len(fan.max_cones)}")
 print("smooth:", is_smooth(fan))
+check_fan(fan)
+print("smooth and complete: check_fan passes")
 
 for name in ("a", "b", "c", "L1", "P1"):
     layer = named[name]
@@ -27,9 +29,8 @@ print("\ninterior condition (cone interiors meet the annihilator only when "
 for name in ("a", "b", "c", "P1"):
     print(f"  {name}:", interior_condition(fan, named[name].lattice))
 
-print("\nequal-sign bases on the first maximal cone:")
-cone = sorted(fan.max_cones[0])
-rays = [fan.rays[i] for i in cone]
-for name in ("a", "b", "c"):
-    res = equal_sign_search(named[name].lattice, rays)
-    print(f"  {name}: {res.status}", res.basis if res.found else "")
+print("\nequal sign (on every maximal cone, a basis of the layer's "
+      "characters single-signed on its rays):")
+for name in ("a", "b", "c", "L1", "P1"):
+    print(f"  {name}:", all(equal_sign(named[name].lattice, [fan.rays[i] for i in cone])
+                            for cone in fan.max_cones))

@@ -17,10 +17,10 @@ from .arrangement import (
     poset_of_layers,
 )
 from .fan import (
-    EqualSignResult,
     Fan,
+    check_fan,
     check_pseudomanifold,
-    equal_sign_search,
+    equal_sign,
     interior_condition,
     is_smooth,
     make_fan,

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import admissible
 from .arrangement import Layer, ToricArrangement, name_layers, poset_of_layers
-from .fan import Fan, _primitive, check_pseudomanifold, is_smooth, make_fan
+from .fan import Fan, _primitive, check_fan, make_fan
 from .poset import (
     blowup_building,
     is_building_set,
@@ -254,10 +254,8 @@ def _dispatch(args, warnings) -> dict:
         raise InputError(
             f"ambient rank mismatch: arrangement has {arrangement.ambient_rank}, "
             f"fan has {fan.ambient_rank}")
-    if not is_smooth(fan):
-        raise InputError("the fan is not smooth")
     try:
-        check_pseudomanifold(fan)
+        check_fan(fan)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

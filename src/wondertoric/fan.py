@@ -3,17 +3,16 @@
 A fan is a set of primitive integer rays plus its maximal cones; rays are
 kept in ambient coordinates even after restriction, with the sublattice
 the restricted fan lives in recorded alongside (the quotient torus never
-needs explicit coordinates).  Completeness is declared by the caller and
-checked only in part: ``check_pseudomanifold`` rejects a ray in no
-maximal cone, maximal cones of the wrong size and facets not shared by
-exactly two of them, a necessary condition; a Monte-Carlo coverage probe
-is available for debugging but is not authoritative.
+needs explicit coordinates).  ``check_fan`` decides exactly that
+a fan is smooth and complete: every maximal cone is unimodular, the two
+maximal cones on each facet lie on opposite sides of it, and one generic
+point lies in exactly one maximal cone.  ``equal_sign`` decides the
+equal-sign property of a cone by one exact feasibility test.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -153,6 +152,53 @@ def check_pseudomanifold(fan: Fan) -> None:
                              "form a complete fan")
 
 
+def check_fan(fan: Fan) -> None:
+    """Raise ValueError, naming the cone, facet or point, unless the fan
+    is smooth and complete.
+
+    Beyond ``check_pseudomanifold``: each maximal cone must be unimodular,
+    and the columns of its inverse are its facet normals u(c, r), with
+    <u(c, r), r> = 1.  The two cones on a facet must give opposite
+    normals.  Crossing a facet then leaves one cone and enters another, so
+    every point off the facet hyperplanes lies in the same number of
+    maximal cones; the fan is complete when one such point, on the moment
+    curve (1, t, t^2, ...), lies in exactly one.
+    """
+    check_pseudomanifold(fan)
+    dim = fan.lattice.rank
+    if dim == 0:
+        return
+    coords = fan.ray_coords()
+    normals: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    by_facet: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    for c in fan.max_cones:
+        idx = sorted(c)
+        res = snf([coords[i] for i in idx], transforms=True)
+        if any(d != 1 for d in res.invariant_factors) or res.rank != dim:
+            raise ValueError(f"maximal cone {idx} is not smooth")
+        inv = [[sum(a * b for a, b in zip(row, col)) for col in zip(*res.left)]
+               for row in res.right]
+        normals[c] = list(zip(*inv))
+        for r, u in zip(idx, normals[c]):
+            by_facet.setdefault(c - {r}, []).append(u)
+    for facet, (u, v) in by_facet.items():
+        if any(x != -y for x, y in zip(u, v)):
+            raise ValueError(f"the maximal cones on facet {sorted(facet)} "
+                             "lie on one side of it")
+    t = 1
+    while True:
+        p = [t ** k for k in range(dim)]
+        if all(sum(x * y for x, y in zip(u, p)) for u, _ in by_facet.values()):
+            break
+        t += 1
+    holders = [sorted(c) for c in fan.max_cones
+               if all(sum(x * y for x, y in zip(u, p)) > 0
+                      for u in normals[c])]
+    if len(holders) != 1:
+        raise ValueError(f"the point {p} lies in {len(holders)} maximal cones "
+                         f"{holders}: the fan is not complete")
+
+
 def restrict_fan(fan: Fan, gamma: Sublattice) -> Fan:
     """Subfan of cones lying in the annihilator of ``gamma``.
 
@@ -245,103 +291,14 @@ def interior_condition(fan: Fan, gamma: Sublattice) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EqualSignResult:
-    status: str  # "found" | "refuted" | "inconclusive"
-    basis: tuple[tuple[int, ...], ...] | None = None
+def equal_sign(gamma: Sublattice, cone_rays) -> bool:
+    """Does gamma have a basis with every vector single-signed on the cone?
 
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
-
-
-def _single_signed(chi, rays) -> bool:
-    vals = [sum(x * y for x, y in zip(chi, r)) for r in rays]
-    return all(v >= 0 for v in vals) or all(v <= 0 for v in vals)
-
-
-def equal_sign_search(gamma: Sublattice, cone_rays, bound: int | None = None) -> EqualSignResult:
-    """Search for a basis of gamma with every vector single-signed on the cone.
-
-    Enumerates unimodular recombinations of the Hermite basis with entries
-    bounded by ``bound``.  Exhaustion is reported as inconclusive except
-    in rank one, where the check is exact.
+    Exactly when some chi in gamma (x) R pairs >= 1 with every ray that
+    gamma does not annihilate: the cone of such chi is then
+    full-dimensional, so it holds a unimodular subcone (stellar
+    subdivision), whose generators are such a basis.
     """
-    t = gamma.rank
-    rays = [tuple(r) for r in cone_rays]
-    if t == 0:
-        return EqualSignResult("found", ())
-    if t == 1:
-        chi = gamma.basis[0]
-        if _single_signed(chi, rays):
-            return EqualSignResult("found", (chi,))
-        return EqualSignResult("refuted")
-    if bound is None:
-        bound = 3 if t == 2 else 1
-    base = [list(r) for r in gamma.basis]
-    entries = range(-bound, bound + 1)
-    for flat in itertools.product(entries, repeat=t * t):
-        u = [list(flat[i * t:(i + 1) * t]) for i in range(t)]
-        det = _det(u)
-        if det not in (1, -1):
-            continue
-        cand = [tuple(sum(u[i][k] * base[k][j] for k in range(t))
-                      for j in range(gamma.ambient_rank)) for i in range(t)]
-        if all(_single_signed(chi, rays) for chi in cand):
-            return EqualSignResult("found", tuple(cand))
-    return EqualSignResult("inconclusive")
-
-
-def _det(m) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    out = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        out += (-1) ** j * m[0][j] * _det(minor)
-    return out
-
-
-def coverage_probe(fan: Fan, samples: int = 200, seed: int = 0) -> bool:
-    """Debug-only completeness probe: random directions must land in a cone.
-
-    Non-authoritative; inputs are declared complete by their producers.
-    """
-    rng = random.Random(seed)
-    coords = fan.ray_coords()
-    dim = fan.lattice.rank
-    for _ in range(samples):
-        target = [Fraction(rng.randint(-50, 50)) for _ in range(dim)]
-        hit = False
-        for cone in fan.max_cones:
-            idx = sorted(cone)
-            if len(idx) != dim:
-                continue
-            mat = [[Fraction(coords[i][d]) for i in idx] for d in range(dim)]
-            sol = _solve_rational(mat, target)
-            if sol is not None and all(x >= 0 for x in sol):
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
-
-
-def _solve_rational(mat, rhs):
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    rows = [[sum(x * y for x, y in zip(chi, r)) for chi in gamma.basis]
+            for r in cone_rays]
+    return _feasible_all_ge_one([row for row in rows if any(row)])

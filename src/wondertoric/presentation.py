@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .arrangement import name_layers, poset_of_layers
-from .fan import Fan, check_pseudomanifold, is_smooth, restrict_fan
+from .fan import Fan, check_fan, restrict_fan
 from .intlinalg import Sublattice, complement_basis, hnf
 from .polyring import (
     GroebnerBasis,
@@ -163,7 +163,15 @@ class RelationSet:
 
 
 class ModelPresentation:
-    """All the algebra of one model: relations, alpha, graded ranks."""
+    """All the algebra of one model: relations, alpha, graded ranks.
+
+    The fan is taken as given: a direct caller must run ``check_fan`` on
+    it first, as ``presentation_from_arrangement`` and the CLI do.  It is
+    not run here because ``delete_last`` and ``contract_last`` build new
+    presentations on the same fan or a restriction of it.  One pass of
+    the running-max-routes benchmark builds 7, 4 of them on the full fan,
+    and checking each would add about 6 ms to a 0.10 s pass.
+    """
 
     def __init__(self, poset: RankedPoset, lattices: dict, building: BuildingSet,
                  fan: Fan, layer_names: dict | None = None,
@@ -589,9 +597,7 @@ def presentation_from_arrangement(arrangement, fan: Fan, selector="min",
     ``layer_names`` may name derived layers; unnamed ones get generated
     W<rank>.<k> labels.
     """
-    if not is_smooth(fan):
-        raise ValueError("the fan must be smooth")
-    check_pseudomanifold(fan)
+    check_fan(fan)
     poset = poset_of_layers(arrangement)
     building = make_building_set(poset, select_building(poset, selector), order)
     lattices = {layer: layer.lattice for layer in poset.labels}

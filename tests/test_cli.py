@@ -77,6 +77,36 @@ def test_fan_with_a_cone_removed_is_an_input_error(tmp_path, capsys, data_dir):
         presentation_from_arrangement(arr, cli.parse_fan(str(path), []))
 
 
+def test_fan_that_winds_twice_is_an_input_error(tmp_path, capsys):
+    # smooth, and each facet lies between two cones, but the plane is
+    # covered twice; once it failed deep in the alpha pair sweep, exit 1
+    arr = tmp_path / "arr.json"
+    arr.write_text(json.dumps({"ambient_rank": 2, "subtori": [
+        {"label": "H", "chars": [[1, 0]], "phase": ["0"]}]}))
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({
+        "ambient_rank": 2,
+        "rays": [[1, 0], [0, 1], [-1, 0], [0, -1], [2, 1], [1, 1], [-2, -1], [-1, -1]],
+        "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6], [6, 7], [7, 4]]}))
+    code, out, err = run_cli(capsys, [
+        "model-betti", "--arrangement", str(arr), "--fan", str(fan)])
+    assert (code, out) == (2, "")
+    assert ("input error: the point [1, 2] lies in 2 maximal cones [[0, 1], [5, 6]]: "
+            "the fan is not complete") in err
+
+
+def test_fan_with_a_cone_that_is_not_smooth_is_an_input_error(tmp_path, capsys, data_dir):
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({
+        "ambient_rank": 2, "rays": [[1, 0], [1, 2], [0, 1], [-1, 0], [0, -1]],
+        "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}))
+    code, out, err = run_cli(capsys, [
+        "model-betti", "--arrangement", fixture_path(data_dir, "a22.arr.json"),
+        "--fan", str(fan)])
+    assert (code, out) == (2, "")
+    assert "input error: maximal cone [0, 1] is not smooth" in err
+
+
 def test_missing_max_cones(tmp_path, capsys, data_dir):
     bad = tmp_path / "fan.json"
     bad.write_text(json.dumps({"ambient_rank": 2, "rays": [[1, 0]]}))

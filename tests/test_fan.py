@@ -1,18 +1,26 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wondertoric.arrangement import poset_of_layers
 from wondertoric.fan import (
+    check_fan,
     check_pseudomanifold,
-    coverage_probe,
-    equal_sign_search,
+    equal_sign,
     interior_condition,
     is_smooth,
     make_fan,
     restrict_fan,
 )
-from wondertoric.fixtures import a22_fan, a_n_c, running_fan, running_named_layers
+from wondertoric.fixtures import (
+    a22_fan,
+    a_n_c,
+    running_arrangement,
+    running_fan,
+    running_named_layers,
+)
 from wondertoric.intlinalg import Sublattice
 
 
@@ -35,7 +43,7 @@ def test_running_fan_smooth(fan):
 def test_a22_fan_smooth():
     f = a22_fan()
     assert is_smooth(f)
-    assert coverage_probe(f, samples=100)
+    check_fan(f)
 
 
 def test_non_smooth_cone():
@@ -123,8 +131,71 @@ def test_minimal_nonfaces_match_enumeration():
 
 
 def test_complete_fans_are_pseudomanifolds():
-    for fan in (running_fan(), a22_fan(), *restricted_fans()):
+    fans = [running_fan(), a22_fan(), *restricted_fans()]
+    assert any(fan.lattice.rank == 0 for fan in fans)
+    for fan in fans:
         check_pseudomanifold(fan)
+        check_fan(fan)
+
+
+# the cones of {+-e1, +-e2} and those of {+-(2, 1), +-(1, 1)}: smooth, and
+# each facet lies between two cones on its two sides, but the plane is
+# covered twice
+WINDING_TWO = ([(1, 0), (0, 1), (-1, 0), (0, -1), (2, 1), (1, 1), (-2, -1), (-1, -1)],
+               [[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6], [6, 7], [7, 4]])
+
+
+def test_check_fan_rejects_a_fold():
+    # smooth and a pseudomanifold, but (1, 1) folds back over the cone of
+    # (1, 0) and (0, 1): its two cones on facet [1] lie on one side of it
+    fold = make_fan(2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [1, 2], [2, 0]])
+    assert is_smooth(fold)
+    check_pseudomanifold(fold)
+    with pytest.raises(ValueError, match=r"the maximal cones on facet \[1\] "
+                       "lie on one side of it"):
+        check_fan(fold)
+
+
+def test_check_fan_rejects_a_fan_that_winds_twice():
+    winding = make_fan(2, *WINDING_TWO)
+    assert is_smooth(winding)
+    check_pseudomanifold(winding)
+    with pytest.raises(ValueError, match=r"the point \[1, 2\] lies in 2 maximal "
+                       r"cones \[\[0, 1\], \[5, 6\]\]: the fan is not complete"):
+        check_fan(winding)
+
+
+def test_check_fan_names_a_cone_that_is_not_smooth():
+    # complete, with one cone of determinant 2
+    fan = make_fan(2, [(1, 0), (1, 2), (0, 1), (-1, 0), (0, -1)],
+                   [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
+    check_pseudomanifold(fan)
+    with pytest.raises(ValueError, match=r"maximal cone \[0, 1\] is not smooth"):
+        check_fan(fan)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["running", "a22"]), st.randoms(use_true_random=False))
+def test_check_fan_ignores_the_ray_order(which, rng):
+    fan = running_fan() if which == "running" else a22_fan()
+    perm = list(range(fan.nrays))
+    rng.shuffle(perm)
+    rays = [None] * fan.nrays
+    for old, new in enumerate(perm):
+        rays[new] = fan.rays[old]
+    cones = [{perm[i] for i in c} for c in fan.max_cones]
+    rng.shuffle(cones)
+    check_fan(make_fan(fan.ambient_rank, rays, cones))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["running", "a22"]), st.data())
+def test_check_fan_rejects_a_fan_missing_a_cone(which, data):
+    fan = running_fan() if which == "running" else a22_fan()
+    k = data.draw(st.integers(0, len(fan.max_cones) - 1))
+    cones = fan.max_cones[:k] + fan.max_cones[k + 1:]
+    with pytest.raises(ValueError):
+        check_fan(make_fan(fan.ambient_rank, fan.rays, cones))
 
 
 def test_fan_with_a_cone_removed_is_no_pseudomanifold():
@@ -172,30 +243,55 @@ def test_interior_condition_full_lattice(fan):
 
 
 def test_equal_sign_examples(named):
-    res = equal_sign_search(named["a"].lattice, [(1, 1, 1), (2, 1, 2)])
-    assert res.found and res.basis == ((1, 0, 0),)
-    res0 = equal_sign_search(Sublattice.zero(3), [(1, 1, 1)])
-    assert res0.found and res0.basis == ()
-    resb = equal_sign_search(named["b"].lattice, [(3, 1, 3), (0, 1, 0)])
-    assert resb.found and resb.basis == ((1, -3, 0),)
+    assert equal_sign(named["a"].lattice, [(1, 1, 1), (2, 1, 2)])
+    assert equal_sign(Sublattice.zero(3), [(1, 1, 1)])
+    assert equal_sign(named["b"].lattice, [(3, 1, 3), (0, 1, 0)])
 
 
 def test_equal_sign_refuted_rank_one():
     gamma = Sublattice.from_rows(2, [[1, 0]])
-    res = equal_sign_search(gamma, [(1, 1), (-1, 1)])
-    assert res.status == "refuted"
+    assert not equal_sign(gamma, [(1, 1), (-1, 1)])
 
 
-def test_equal_sign_every_layer_every_cone(fan, named):
-    # equal-sign success implies the interior condition; check no fixture
-    # cone ever refutes it outright
-    for name, layer in named.items():
-        if name == "0":
+def test_equal_sign_every_layer_every_cone():
+    for fan, arr in ((running_fan(), running_arrangement()), (a22_fan(), a_n_c(2, 2))):
+        for layer in poset_of_layers(arr).labels:
+            for cone in fan.max_cones:
+                rays = [fan.rays[i] for i in cone]
+                assert equal_sign(layer.lattice, rays), (layer, sorted(cone))
+
+
+def _single_signed(chi, rays) -> bool:
+    vals = [sum(x * y for x, y in zip(chi, r)) for r in rays]
+    return all(v >= 0 for v in vals) or all(v <= 0 for v in vals)
+
+
+vectors3 = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors3.filter(any), st.lists(vectors3, min_size=1, max_size=4))
+def test_equal_sign_in_rank_one_is_single_signedness(chi, rays):
+    gamma = Sublattice.from_rows(3, [chi])
+    assert equal_sign(gamma, rays) == _single_signed(gamma.basis[0], rays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors3, vectors3, st.lists(vectors3, min_size=1, max_size=4))
+def test_equal_sign_holds_where_a_bounded_search_finds_a_basis(v, w, rays):
+    try:
+        gamma = Sublattice.from_rows(3, [v, w])
+    except ValueError:
+        return  # v and w are dependent
+    b = gamma.basis
+    for u in itertools.product(range(-2, 3), repeat=4):
+        if u[0] * u[3] - u[1] * u[2] not in (1, -1):
             continue
-        for cone in fan.max_cones:
-            rays = [fan.rays[i] for i in cone]
-            res = equal_sign_search(layer.lattice, rays, bound=1)
-            assert res.status != "refuted", (name, sorted(cone))
+        basis = [[u[0] * x + u[1] * y for x, y in zip(*b)],
+                 [u[2] * x + u[3] * y for x, y in zip(*b)]]
+        if all(_single_signed(chi, rays) for chi in basis):
+            assert equal_sign(gamma, rays), (b, rays, basis)
+            return
 
 
 def test_make_fan_validation():
@@ -214,7 +310,4 @@ def test_make_fan_rejects_a_repeated_ray_index():
 
 
 def test_running_fan_coverage_probe(fan):
-    # debug-only completeness probe; non-authoritative but should hold here
-    from wondertoric.fan import coverage_probe
-
-    assert coverage_probe(fan, samples=60, seed=1)
+    check_fan(fan)
