@@ -32,7 +32,7 @@ print("alpha is a strong Groebner basis:", pres.verify_alpha(),
       f"({time.perf_counter() - start:.1f}s)")
 
 empty = make_building_set(pres.poset, frozenset(), ())
-toric = ModelPresentation(pres.poset, pres.lattices, empty, pres.fan)
+toric = ModelPresentation(pres.poset, empty, pres.fan)
 print("\ntoric ranks:", toric.betti().ranks)
 
 report = pres.betti()

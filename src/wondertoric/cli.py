@@ -261,16 +261,14 @@ def _dispatch(args, warnings) -> dict:
 
     if args.command == "toric-betti":
         empty = make_building_set(poset, frozenset(), ())
-        lattices = {layer: layer.lattice for layer in poset.labels}
-        pres = ModelPresentation(poset, lattices, empty, fan, names, args.cap)
+        pres = ModelPresentation(poset, empty, fan, names, args.cap)
         rep = pres.betti()
         out = rep.as_dict()
         out["command"] = "toric-betti"
         out["routes_used"] = ["escalier", "oracle"]
         return out
 
-    lattices = {layer: layer.lattice for layer in poset.labels}
-    pres = ModelPresentation(poset, lattices, building, fan, names, args.cap)
+    pres = ModelPresentation(poset, building, fan, names, args.cap)
 
     if args.command == "model-betti":
         rep = pres.betti()

@@ -61,12 +61,13 @@ arise, goes through ``GroebnerBasis.reduce``, which stays the reference.
 
 Two independent routes give graded ranks, and both cost what their output
 costs.  ``GroebnerBasis.standard_monomials`` grows the escalier degree by
-degree outside the initial ideal, testing each new monomial against the
-unit leads through the divisibility index.  ``graded_rank_oracle`` works
-modulo the unit-coefficient monomial generators, drops the columns of
-single-unit rows at once, eliminates the remaining unit entries in
-Markowitz order off a heap, and hands what is left to a dense Smith
-normal form.
+degree outside the initial ideal, testing each new monomial against all
+leads, whatever their coefficients, through the divisibility index; over
+Z their count is the free rank, and torsion is the oracle's to find.
+``graded_rank_oracle`` works modulo the unit-coefficient monomial
+generators, drops the columns of single-unit rows at once, eliminates the
+remaining unit entries in Markowitz order off a heap, and hands what is
+left to a dense Smith normal form.
 """
 
 from __future__ import annotations
@@ -397,10 +398,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def torsion_suspect(self) -> bool:
-        return any(abs(c) != 1 for c in self._lc)
-
     def _candidates_for(self, term_mask: int) -> list[int]:
         """Elements whose lead support lies in ``term_mask``, ascending: the
         lead support groups of the sub-masks of ``term_mask``, the empty one
@@ -426,7 +423,8 @@ class GroebnerBasis:
 
     def _first_reducer(self, neg: int) -> int:
         """The first element whose lead divides m = -``neg``, or -1; the
-        reducer of m when every leading coefficient is 1."""
+        reducer of m when every leading coefficient is 1, and what decides
+        whether m is standard."""
         guard = self.table._guard
         mask = (neg + self.table._fill) & guard
         candidates = self._candidates.get(mask)
@@ -525,25 +523,19 @@ class GroebnerBasis:
 
     # -- escalier -------------------------------------------------------
 
-    def _unit_lead_divides(self, m: Monomial, mask: int) -> bool:
-        """Does the lead of an element with leading coefficient 1 divide m?"""
-        lms, lcs, guard = self._lm, self._lc, self.table._guard
-        candidates = self._candidates.get(mask)
-        if candidates is None:
-            candidates = self._candidates_for(mask)
-        for i in candidates:
-            if lcs[i] == 1 and not (lms[i] - m) & guard:
-                return True
-        return False
-
     def standard_monomials(self, d: int, positions=None) -> list[Monomial]:
-        """Degree-d monomials outside the unit-coefficient initial ideal.
+        """Degree-d monomials outside the initial ideal, the ideal of the leads.
 
-        Only the variables at ``positions`` (default: all) may occur.  The
-        monomials outside an initial ideal form an order ideal, so level k
-        is grown from the levels below it: each standard m of degree
-        k - w_p times x_p, kept unless a unit lead divides it.  The cost
-        follows the escalier, not the number of degree-d monomials.
+        Only the variables at ``positions`` (default: all) may occur.  Over
+        Z their number is the free rank of the degree-d piece of the
+        quotient, whatever the leading coefficients: the leading coefficient
+        ideals filter the piece, and each step is Z or finite (Adams and
+        Loustaunau 1994, ch. 4).  They are a Z-basis of the piece only when
+        every leading coefficient is 1; otherwise only their count means
+        anything.  The monomials outside an initial ideal form an order
+        ideal, so level k is grown from the levels below it: each standard
+        m of degree k - w_p times x_p, kept unless a lead divides it.  The
+        cost follows the escalier, not the number of degree-d monomials.
         Largest first under the monomial order.
         """
         if d < 0:
@@ -551,18 +543,17 @@ class GroebnerBasis:
         table = self.table
         table._checked(d << table._shift)
         pos = tuple(positions) if positions is not None else tuple(range(table.n))
-        # levels[k]: the standard monomials of degree k, with support masks
-        levels = [{} if self._unit_lead_divides(0, 0) else {0: 0}]
+        first = self._first_reducer
+        # levels[k]: the standard monomials of degree k
+        levels = [set() if first(0) >= 0 else {0}]
         for k in range(1, d + 1):
-            level = {}
+            level = set()
             for p in pos:
-                if table.weights[p] > k:
-                    continue
-                var, bit = table._vars[p], table._guards[p]
-                for m, mask in levels[k - table.weights[p]].items():
-                    level.setdefault(m + var, mask | bit)
-            levels.append({m: mask for m, mask in level.items()
-                           if not self._unit_lead_divides(m, mask)})
+                w = table.weights[p]
+                if w <= k:
+                    var = table._vars[p]
+                    level.update(m + var for m in levels[k - w])
+            levels.append({m for m in level if first(-m) < 0})
         return sorted(levels[d], reverse=True)
 
 

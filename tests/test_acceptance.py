@@ -169,7 +169,7 @@ def test_criterion_05_contraction(running, named):
 def test_criterion_06_toric_betti(model):
     budget = Budget(6, "toric graded ranks by escalier and oracle", 30.0)
     empty = make_building_set(model.poset, frozenset(), ())
-    toric = ModelPresentation(model.poset, model.lattices, empty, model.fan)
+    toric = ModelPresentation(model.poset, empty, model.fan)
     report = toric.betti()
     assert report.ranks == [1, 11, 11, 1]
     assert report.torsion == []

@@ -94,7 +94,7 @@ def test_empty_building_set_basis(pres):
     from wondertoric.presentation import ModelPresentation
 
     eb = make_building_set(p.poset, frozenset(), ())
-    ctx = ModelPresentation(p.poset, p.lattices, eb, p.fan, p.layer_names)
+    ctx = ModelPresentation(p.poset, eb, p.fan, p.layer_names)
     assert admissible.am_generating_function(ctx) == [1]
     assert admissible.b_generating_function(ctx) == [1, 11, 11, 1]
 
@@ -119,7 +119,7 @@ def test_check_recursion_rank_one_last(pres):
     from wondertoric.presentation import ModelPresentation
 
     bs = make_building_set(p.poset, frozenset(order), tuple(order))
-    ctx = ModelPresentation(p.poset, p.lattices, bs, p.fan, p.layer_names)
+    ctx = ModelPresentation(p.poset, bs, p.fan, p.layer_names)
     rep = admissible.check_recursion(ctx, "AM")
     assert rep.codim == 1
     assert rep.lhs == rep.deleted == rep.rhs
@@ -135,7 +135,7 @@ def test_recursions_under_two_orders(pres):
                  ("P3", "P1", "P2", "b", "a", "c")):
         order = tuple(named[n] for n in tail)
         bs = make_building_set(p.poset, frozenset(order), order)
-        ctx = ModelPresentation(p.poset, p.lattices, bs, p.fan, p.layer_names)
+        ctx = ModelPresentation(p.poset, bs, p.fan, p.layer_names)
         for which in ("AM", "B"):
             assert admissible.check_recursion(ctx, which).ok
 

@@ -453,3 +453,25 @@ def test_golden_reports_cover_both_fixtures():
                                    ("a22", ("min", "max")))
         for selector in selectors
         for command in ("model-betti", "admissible", "verify", "blowup")}
+
+
+def test_relabelled_a22_fan_gives_the_bundled_ranks(tmp_path, capsys, data_dir):
+    # this order gives the toric basis the non-unit lead 2*c2*c1+c1^2; it
+    # once exited 1 on all four commands.  New ray k is old ray perm[k]
+    perm = (4, 3, 5, 7, 2, 6, 0, 1)
+    fan = json.loads((data_dir / "a22.fan.json").read_text())
+    new_of = {old: new for new, old in enumerate(perm)}
+    fan["rays"] = [fan["rays"][i] for i in perm]
+    fan["max_cones"] = [[new_of[i] for i in cone] for cone in fan["max_cones"]]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan))
+    args = ["--arrangement", fixture_path(data_dir, "a22.arr.json"),
+            "--fan", str(path), "--deterministic"]
+    reports = {}
+    for command in ("toric-betti", "model-betti", "admissible", "verify"):
+        code, out, err = run_cli(capsys, [command, *args])
+        assert code == 0, (command, err)
+        reports[command] = json.loads(out)
+    assert reports["model-betti"]["betti"] == [1, 6, 1]
+    recursions = reports["verify"]["recursions"]
+    assert recursions["AM"]["equal"] and recursions["B"]["equal"]

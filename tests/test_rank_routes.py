@@ -3,7 +3,7 @@
 The oracles below are the straightforward versions of the escalier, of
 the SNF rank oracle's sparse elimination and of the inter-reduction that
 ends ``buchberger``: the escalier lists every degree-d monomial and tests
-each against every unit-coefficient lead; one elimination looks for each
+each against every lead; one elimination looks for each
 pivot by scanning every live row for the unit entry of least Markowitz
 cost, another takes every pivot, single-unit rows included, off a heap;
 the full-column oracle has a column for every degree-d monomial and a row
@@ -31,7 +31,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wondertoric import polyring
@@ -56,10 +56,10 @@ from wondertoric.presentation import presentation_from_arrangement, toric_relati
 
 
 def reference_standard_monomials(basis, d, positions=None):
-    """Degree-d monomials over ``positions`` that no unit lead divides."""
+    """Degree-d monomials over ``positions`` that no lead divides."""
     table = basis.table
     leads = [(lm, table.mono_mask(lm), table.mono_degree(lm))
-             for lm, lc in map(table.leading, basis.elements) if abs(lc) == 1]
+             for lm, _ in map(table.leading, basis.elements)]
     out = []
     for m in table.monomials_of_degree(d, positions):
         mask = table.mono_mask(m)
@@ -524,6 +524,22 @@ def test_buchberger_matches_reference_minimalize_on_weighted_tables(inputs):
     assert got == want
 
 
+V0 = VariableTable(["v0"], [1], ["v0"], ["c"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(homogeneous_inputs())
+@example((V0, [Polynomial({V0.encode((1,)): 2})], 1))
+def test_escalier_counts_the_oracle_free_rank(inputs):
+    # over Z the standard monomials of all leads, units or not, count the
+    # free rank: <2*v0> leaves v0 torsion, so degree 1 has rank 0
+    table, gens, cap = inputs
+    basis = buchberger(table, gens, cap)
+    for e in range(cap + 1):
+        assert (len(basis.standard_monomials(e))
+                == graded_rank_oracle(table, gens, e)[0]), e
+
+
 @st.composite
 def oracle_inputs(draw):
     """Generators over a weighted table of 1 to 4 variables, each
@@ -562,12 +578,14 @@ def test_oracle_matches_full_column_reference_on_weighted_tables(inputs):
         assert got == (0, ())
 
 
-def test_escalier_weights_and_unit_leads():
+def test_escalier_weights_and_non_unit_leads():
+    # 2x is a lead like y: over Z the quotient by <2x, y> has free rank 0
+    # in every positive degree
     t = VariableTable("xy", (1, 2), "xy", ("c", "c"))
     basis = GroebnerBasis(t, [t.term(2, t.encode((1, 0))), t.term(1, t.encode((0, 1)))])
-    assert basis.standard_monomials(3) == [t.encode((3, 0))]
+    assert basis.standard_monomials(3) == []
     assert basis.standard_monomials(2, [1]) == []
-    assert basis.standard_monomials(2, [0]) == [t.encode((2, 0))]
+    assert basis.standard_monomials(2, [0]) == []
     assert (GroebnerBasis(t, []).standard_monomials(2)
             == [t.encode((2, 0)), t.encode((0, 1))])
     assert GroebnerBasis(t, [t.const(1)]).standard_monomials(0) == []
