@@ -214,6 +214,11 @@ class ToricArrangement:
                 raise ValueError("subtori must have rank at least one")
         if self.names and len(self.names) != len(self.subtori):
             raise ValueError("one name per subtorus")
+        repeated = [n for i, n in enumerate(self.names) if n in self.names[:i]]
+        if repeated:
+            raise ValueError(f"subtorus label {repeated[0]!r} is repeated")
+        if "1" in self.names:
+            raise ValueError("subtorus label '1' is the name of the torus")
 
     def alias_map(self) -> dict[str, Layer]:
         return dict(zip(self.names, self.subtori))
@@ -269,13 +274,17 @@ def poset_of_layers(arr: ToricArrangement) -> RankedPoset:
 def name_layers(arr: ToricArrangement, poset: RankedPoset, given=None) -> dict:
     """Names of the layers of ``arr``: those in ``given``, then the label a
     subtorus is first listed under, "1" for the torus and W<rank>.<k>,
-    counted per rank in poset order, for the rest."""
+    counted per rank in poset order and skipping names already taken, for
+    the rest."""
     names = {poset.zero: "1", **(given or {})}
     for name, layer in arr.alias_map().items():
         names.setdefault(layer, name)
-    counters: dict[int, int] = {}
+    taken = set(names.values())
+    # per rank, the generated names W<rank>.1, W<rank>.2, ... not yet used
+    fresh: dict = {}
     for layer in poset.labels:
         if layer not in names:
-            counters[layer.rank] = counters.get(layer.rank, 0) + 1
-            names[layer] = f"W{layer.rank}.{counters[layer.rank]}"
+            r = layer.rank
+            left = fresh.setdefault(r, (f"W{r}.{k}" for k in itertools.count(1)))
+            names[layer] = next(name for name in left if name not in taken)
     return names

@@ -100,7 +100,10 @@ def parse_arrangement(path: str, warnings: list[str]) -> ToricArrangement:
             warnings.append(f"phases of {label!r} reduced modulo 1")
         layers.append(layer)
         names.append(label)
-    return ToricArrangement(n, tuple(layers), tuple(names))
+    try:
+        return ToricArrangement(n, tuple(layers), tuple(names))
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def parse_fan(path: str, warnings: list[str]) -> Fan:

@@ -85,8 +85,7 @@ class Fan:
         return out
 
 
-def make_fan(ambient_rank: int, rays, max_cones, ray_labels=None,
-             lattice: Sublattice | None = None) -> Fan:
+def make_fan(ambient_rank: int, rays, max_cones) -> Fan:
     rays = tuple(tuple(map(int, r)) for r in rays)
     for r in rays:
         if len(r) != ambient_rank:
@@ -102,11 +101,8 @@ def make_fan(ambient_rank: int, rays, max_cones, ray_labels=None,
         if len(set(c)) != len(c):
             raise ValueError(f"maximal cone {c} repeats a ray index")
     cones = tuple(frozenset(c) for c in max_cones)
-    if ray_labels is None:
-        ray_labels = tuple(range(len(rays)))
-    if lattice is None:
-        lattice = Sublattice.full(ambient_rank)
-    fan = Fan(ambient_rank, rays, cones, tuple(ray_labels), lattice)
+    fan = Fan(ambient_rank, rays, cones, tuple(range(len(rays))),
+              Sublattice.full(ambient_rank))
     for c in cones:
         mat = [fan.rays[i] for i in sorted(c)]
         if snf(mat).rank != len(c):

@@ -43,8 +43,6 @@ class SNFResult:
     """
 
     invariant_factors: tuple[int, ...]
-    rows: int
-    cols: int
     left: tuple | None = None
     right: tuple | None = None
     right_inv: tuple | None = None
@@ -155,8 +153,8 @@ def snf(mat, transforms: bool = False, cols: int | None = None) -> SNFResult:
 
     factors = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i])
     if transforms:
-        return SNFResult(factors, nr, nc, freeze(u), freeze(v), freeze(vinv))
-    return SNFResult(factors, nr, nc)
+        return SNFResult(factors, freeze(u), freeze(v), freeze(vinv))
+    return SNFResult(factors)
 
 
 def hnf(mat, cols: int | None = None) -> tuple[tuple[tuple[int, ...], ...], tuple]:

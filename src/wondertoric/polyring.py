@@ -24,14 +24,14 @@ S-polynomials and GCD-polynomials, with arbitrary-precision integer
 coefficients.  All ideal generators the package feeds in are
 homogeneous, which makes degree-truncated runs sound.
 
-``GroebnerBasis.reduce`` keeps the terms still to reduce in a dict and on
-a heap, both keyed by the bare int -K, so they pop in the monomial order,
-largest first.  Reducers come from a lead-support index, the elements
-grouped by the support of their lead: those whose lead support lies
-inside a term's support are the groups of its sub-masks, memoised per
-support inside the basis.  They are tried in the order they were added,
-so the reducer chosen, and every normal form and certificate, is the one
-a linear scan of the leads would give.
+``GroebnerBasis.reduce`` is the one normal form.  Its heap route keeps
+the terms still to reduce in a dict and on a heap, both keyed by the bare
+int -K, so they pop in the monomial order, largest first.  Reducers come
+from a lead-support index, the elements grouped by the support of their
+lead: those whose lead support lies inside a term's support are the
+groups of its sub-masks, memoised per support inside the basis.  They are
+tried in the order they were added, so the reducer chosen, and every
+normal form, is the one a linear scan of the leads would give.
 
 ``PairSweep`` is the one pair generator behind ``buchberger`` and
 ``is_groebner``.  Bitsets by lead variable and by lead degree give the
@@ -44,20 +44,22 @@ no GCD-pair.  Over Z the criterion is sound only with unit coefficients
 not visited.  ``groebner_witness`` returns the first pair whose normal
 form is nonzero, which ``is_groebner`` reduces to a bool.
 
-When every leading coefficient is 1, the reducer of a term c*m is the
-first candidate whose lead divides m, whatever c is, and it leaves no
-remainder, so the normal form is linear: N(sum c*m) = sum c*N(m).  The
-sweep then writes each S-pair from the stored tails of its two elements,
-with no ``Polynomial`` built, and memoises N(m) per monomial across its
-pairs, as F4 reuses a reduction across the pairs that meet it (Faugere
-1999); N(m) = 0 when the first reducer of m is a monomial, and that zero
-is neither walked nor memoised.  On running/min the 2,220 reductions
-meet 5,887 distinct monomials, 2,072 of them memoised and 153 of those
-nonzero, where the heap popped 57,190 terms.  The memo is dropped
-whenever the basis grows, since a new lead can make an irreducible
-monomial reducible.  A basis with a non-unit lead, where reduction
+When every leading coefficient is 1 (a flag kept as elements are
+added), the reducer of a term c*m is the first candidate whose lead
+divides m, whatever c is, and it leaves no remainder, so the normal form
+is linear: N(sum c*m) = sum c*N(m).  The basis then memoises N(m) per
+monomial across its reductions, as F4 reuses a reduction across the
+pairs that meet it (Faugere 1999); N(m) = 0 when the first reducer of m
+is a monomial, and that zero is neither walked nor memoised.  On
+running/min the sweep's 2,220 reductions meet 5,887 distinct monomials,
+2,072 of them memoised and 153 of those nonzero, where the heap popped
+57,190 terms.  The memo is dropped when the basis grows, since a new
+lead can make an irreducible monomial reducible, and when ``minimalize``
+writes back a tail.  A basis with a non-unit lead, where reduction
 depends on the size of c and leaves remainders, and where GCD-pairs
-arise, goes through ``GroebnerBasis.reduce``, which stays the reference.
+arise, takes the heap route.  Both routes read parts (shift, multiplier,
+tail), so the sweep writes each pair from the stored tails of its two
+elements, with no ``Polynomial`` built.
 
 Two independent routes give graded ranks, and both cost what their output
 costs.  ``GroebnerBasis.standard_monomials`` grows the escalier degree by
@@ -94,11 +96,10 @@ class VariableTable:
     convert from and to exponent tuples.
     """
 
-    def __init__(self, keys, weights, names, kinds):
+    def __init__(self, keys, weights, names):
         self.keys = tuple(keys)
         self.weights = tuple(int(w) for w in weights)
         self.names = tuple(names)
-        self.kinds = tuple(kinds)
         self.n = len(self.keys)
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
@@ -358,6 +359,10 @@ class GroebnerBasis:
         self._var_bits = [0] * table.n
         self._deg_bits: dict[int, int] = {}
         self._unit_bits = self._bare_bits = 0
+        # _unit while every leading coefficient is 1; then _normal holds
+        # N(m) as ((-K, coefficient), ...) per -K(m) for _linear
+        self._unit = True
+        self._normal: dict[int, tuple[tuple[int, int], ...]] = {}
         seen = set()
         for f in polys:
             if not f:
@@ -389,11 +394,15 @@ class GroebnerBasis:
             self._var_bits[p] |= 1 << k
         if lc == 1:
             self._unit_bits |= 1 << k
+        else:
+            self._unit = False
         if len(f.terms) == 1:
             self._bare_bits |= 1 << k
         for term_mask, found in self._candidates.items():
             if not mask & ~term_mask:
                 found.append(k)
+        # a new lead can make an irreducible monomial reducible
+        self._normal = {}
 
     def __len__(self):
         return len(self.elements)
@@ -436,20 +445,32 @@ class GroebnerBasis:
                 return i
         return -1
 
-    def reduce(self, f: Polynomial, certificate: bool = False):
-        """Normal form: no remaining term is reducible by the basis.
+    def reduce(self, f: Polynomial) -> Polynomial:
+        """Normal form: no remaining term is reducible by the basis."""
+        return self._reduce(((0, 1, [(-m, c) for m, c in f.terms.items()]),))
 
-        The dict ``work`` and the heap ``front`` hold the terms still to
+    def _reduce(self, parts) -> Polynomial:
+        """Normal form of the sum of the parts ``(shift, q, tail)``: q times
+        each term c*m of ``tail``, given as (-K(m), c), moved by ``shift``
+        to -K(m) + shift.  The memo route when every leading coefficient is
+        1, else the heap (module docstring)."""
+        return self._linear(parts) if self._unit else self._heap(parts)
+
+    def _heap(self, parts) -> Polynomial:
+        """The dict ``work`` and the heap ``front`` hold the terms still to
         reduce, keyed by -K, so the largest comes off first.  lead_i divides
         m when K(lead_i) - K(m) sets no guard bit; it is then -K(m / lead_i).
         """
         guard, fill = self.table._guard, self.table._fill
         lms, lcs, tails, memo = self._lm, self._lc, self._tails, self._candidates
-        work = {-m: c for m, c in f.terms.items()}
+        work: dict[int, int] = {}
+        for shift, q, tail in parts:
+            for mm, cc in tail:
+                work[mm + shift] = work.get(mm + shift, 0) + q * cc
+        work = {key: c for key, c in work.items() if c}
         front = list(work)
         heapify(front)
         out: dict = {}
-        cert: dict[int, Polynomial] = {}
         while front:
             neg = heappop(front)
             c = work.pop(neg, None)
@@ -481,12 +502,72 @@ class GroebnerBasis:
                         del work[key]
                     else:
                         work[key] = old - qc
-                if certificate:
-                    cert[i] = cert.get(i, Polynomial({})) + Polynomial({-shift: q})
                 if c == 0:
                     break
-        nf = Polynomial(out)
-        return (nf, cert) if certificate else nf
+        return Polynomial(out)
+
+    def _linear(self, parts) -> Polynomial:
+        """Sum q * c * N(m) over the terms of the parts, every leading
+        coefficient being 1; a term whose first reducer is a monomial adds
+        0 at once."""
+        memo, first, tails = self._normal, self._first_reducer, self._tails
+        out: dict[int, int] = {}
+        for shift, q, tail in parts:
+            for mm, cc in tail:
+                key = mm + shift
+                nf = memo.get(key)
+                if nf is None:
+                    r = first(key)
+                    if r < 0:
+                        nf = memo[key] = ((key, 1),)
+                    elif not tails[r]:
+                        # reduced to 0 by a monomial: not memoised
+                        continue
+                    else:
+                        nf = self._normal_form(key, r)
+                qc = q * cc
+                for m, v in nf:
+                    out[m] = out.get(m, 0) + qc * v
+        # ascending -K: the order in which the heap emits terms
+        return Polynomial({-m: c for m, c in sorted(out.items()) if c})
+
+    def _normal_form(self, neg: int, i: int) -> tuple[tuple[int, int], ...]:
+        """N(m) for m = -``neg`` while every leading coefficient is 1, where
+        i, the first reducer of m, has a tail: -Sum cc * N(t * m / lm_i)
+        over the tail terms cc*t of i.  Tail terms are below the lead, so an
+        explicit stack finishes them first.  A term no lead divides is its
+        own normal form; one whose first reducer is a monomial is 0 and is
+        not stored; every other zero is the one empty tuple.
+        """
+        lms, tails, memo = self._lm, self._tails, self._normal
+        first = self._first_reducer
+        # (top, i): expand top by its reducer i; (top, ~i): its tail terms
+        # are done, so sum them
+        stack = [(neg, i)]
+        while stack:
+            top, i = stack.pop()
+            if i < 0:
+                shift = lms[~i] + top
+                acc: dict[int, int] = {}
+                for mm, cc in tails[~i]:
+                    for m, v in memo.get(mm + shift, ()):
+                        acc[m] = acc.get(m, 0) - cc * v
+                memo[top] = tuple((m, v) for m, v in acc.items() if v)
+                continue
+            if top in memo:
+                continue
+            stack.append((top, ~i))
+            shift = lms[i] + top
+            for mm, _ in tails[i]:
+                t = mm + shift
+                if t in memo:
+                    continue
+                r = first(t)
+                if r < 0:
+                    memo[t] = ((t, 1),)
+                elif tails[r]:
+                    stack.append((t, r))
+        return memo[neg]
 
     def minimalize(self) -> "GroebnerBasis":
         """Drop strongly redundant leads, tail-reduce, canonical sort.
@@ -516,6 +597,8 @@ class GroebnerBasis:
             g = lead + basis.reduce(f - lead)
             basis.elements[i] = g
             basis._tails[i] = [(-m, c) for m, c in g.terms.items() if m != lm]
+            # the normal forms the old tail of i gave are stale
+            basis._normal = {}
             if len(g.terms) == 1:
                 basis._bare_bits |= 1 << i
         order = sorted(range(len(basis)), key=basis._lm.__getitem__)
@@ -555,26 +638,6 @@ class GroebnerBasis:
                     level.update(m + var for m in levels[k - w])
             levels.append({m for m in level if first(-m) < 0})
         return sorted(levels[d], reverse=True)
-
-
-def _s_pair(table: VariableTable, f: Polynomial, lead_f, g: Polynomial,
-            lead_g) -> Polynomial:
-    """S-polynomial of f and g given their ``(monomial, coefficient)`` leads."""
-    (mf, cf), (mg, cg) = lead_f, lead_g
-    lcm_m = table.mono_lcm(mf, mg)
-    lcm_c = abs(cf * cg) // gcd(cf, cg)
-    return (f.mul_term(lcm_c // cf, table.mono_div(lcm_m, mf))
-            - g.mul_term(lcm_c // cg, table.mono_div(lcm_m, mg)))
-
-
-def _gcd_pair(table: VariableTable, f: Polynomial, lead_f, g: Polynomial,
-              lead_g) -> Polynomial:
-    """GCD-polynomial of f and g given their ``(monomial, coefficient)`` leads."""
-    (mf, cf), (mg, cg) = lead_f, lead_g
-    lcm_m = table.mono_lcm(mf, mg)
-    d, a, b = _ext_gcd(cf, cg)
-    return (f.mul_term(a, table.mono_div(lcm_m, mf))
-            + g.mul_term(b, table.mono_div(lcm_m, mg)))
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -620,11 +683,9 @@ class PairSweep:
     pairs were met, how many of them fell in each case, and how many
     reductions ``reduce`` did.
 
-    While every leading coefficient is 1, ``reduce`` takes the S-pair,
-    written from the stored tails, to Sum c * N(m) with N memoised until
-    the basis grows (module docstring), a term whose first reducer is a
-    monomial adding 0 at once; otherwise it builds the pair and hands it
-    to ``GroebnerBasis.reduce``.
+    ``reduce`` writes the S- or GCD-pair as parts over the stored tails of
+    its two elements, each moved under the lcm, and hands them to the
+    basis, which reduces them by its memo or its heap (module docstring).
     """
 
     def __init__(self, basis: GroebnerBasis, degree_cap: int):
@@ -632,11 +693,6 @@ class PairSweep:
         self.degree_cap = degree_cap
         self.counts = dict.fromkeys(
             ("pairs", "over_cap", "monomial", "criterion", "reduced"), 0)
-        # -K(m) -> N(m) as ((-K, coefficient), ...), for the basis while it
-        # has _size elements, all with unit leads when _unit
-        self._normal: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._size = -1
-        self._unit = False
 
     def pairs_with(self, j: int) -> list[tuple[int, int, int, str]]:
         """``(lcm degree, i, j, kind)`` for the pairs of j that need work."""
@@ -705,79 +761,21 @@ class PairSweep:
         deg, i, j, kind = pair
         b = self.basis
         self.counts["reduced"] += 1
-        if len(b) != self._size:
-            # a new lead can make an irreducible monomial reducible
-            self._size = len(b)
-            self._unit = all(c == 1 for c in b._lc)
-            self._normal = {}
-        if not self._unit:
-            make = _s_pair if kind == "S" else _gcd_pair
-            return b.reduce(make(b.table, b.elements[i], (b._lm[i], b._lc[i]),
-                                 b.elements[j], (b._lm[j], b._lc[j])))
-        # unit leads: only S-pairs, (lcm/lm_i)*f_i - (lcm/lm_j)*f_j with the
-        # leads cancelled; a tail term (-K, c) moves under the lcm by the
-        # addition of lm - lcm
-        table, lms, tails = b.table, b._lm, b._tails
-        memo, first = self._normal, b._first_reducer
+        table, lms, lcs, tails = b.table, b._lm, b._lc, b._tails
+        # (lcm/lm_k) * f_k moves a tail term (-K, c) of f_k by K(lm_k) - K(lcm)
         neg_lcm = table._lcm_exponents(lms[i], lms[j]) - (deg << table._shift)
-        out: dict[int, int] = {}
-        for k, sign in ((i, 1), (j, -1)):
-            shift = lms[k] + neg_lcm
-            for mm, cc in tails[k]:
-                key = mm + shift
-                nf = memo.get(key)
-                if nf is None:
-                    r = first(key)
-                    if r < 0:
-                        nf = memo[key] = ((key, 1),)
-                    elif not tails[r]:
-                        # reduced to 0 by a monomial: not memoised
-                        continue
-                    else:
-                        nf = self._normal_form(key, r)
-                for m, v in nf:
-                    out[m] = out.get(m, 0) + sign * cc * v
-        # ascending -K: the order in which GroebnerBasis.reduce emits terms
-        return Polynomial({-m: c for m, c in sorted(out.items()) if c})
-
-    def _normal_form(self, neg: int, i: int) -> tuple[tuple[int, int], ...]:
-        """N(m) for m = -``neg`` while every leading coefficient is 1, where
-        i, the first reducer of m, has a tail: -Sum cc * N(t * m / lm_i)
-        over the tail terms cc*t of i.  Tail terms are below the lead, so an
-        explicit stack finishes them first.  A term no lead divides is its
-        own normal form; one whose first reducer is a monomial is 0 and is
-        not stored; every other zero is the one empty tuple.
-        """
-        b = self.basis
-        lms, tails, first = b._lm, b._tails, b._first_reducer
-        memo = self._normal
-        # (top, i): expand top by its reducer i; (top, ~i): its tail terms
-        # are done, so sum them
-        stack = [(neg, i)]
-        while stack:
-            top, i = stack.pop()
-            if i < 0:
-                shift = lms[~i] + top
-                acc: dict[int, int] = {}
-                for mm, cc in tails[~i]:
-                    for m, v in memo.get(mm + shift, ()):
-                        acc[m] = acc.get(m, 0) - cc * v
-                memo[top] = tuple((m, v) for m, v in acc.items() if v)
-                continue
-            if top in memo:
-                continue
-            stack.append((top, ~i))
-            shift = lms[i] + top
-            for mm, _ in tails[i]:
-                t = mm + shift
-                if t in memo:
-                    continue
-                r = first(t)
-                if r < 0:
-                    memo[t] = ((t, 1),)
-                elif tails[r]:
-                    stack.append((t, r))
-        return memo[neg]
+        c_i, c_j = lcs[i], lcs[j]
+        if kind == "S":
+            # the leads cancel: c_j/g times the tail of i less c_i/g times
+            # the tail of j, g = gcd(c_i, c_j)
+            g = gcd(c_i, c_j)
+            return b._reduce(((lms[i] + neg_lcm, c_j // g, tails[i]),
+                              (lms[j] + neg_lcm, -(c_i // g), tails[j])))
+        # x*c_i + y*c_j = g: x*f_i + y*f_j under the lcm, led by g*lcm
+        g, x, y = _ext_gcd(c_i, c_j)
+        return b._reduce(((neg_lcm, g, ((0, 1),)),
+                          (lms[i] + neg_lcm, x, tails[i]),
+                          (lms[j] + neg_lcm, y, tails[j])))
 
     def witness(self) -> GroebnerWitness | None:
         """The first pair whose normal form is nonzero, or None."""
@@ -805,18 +803,15 @@ def buchberger(table: VariableTable, gens, degree_cap: int) -> GroebnerBasis:
             raise ValueError("degree-capped completion requires homogeneous input")
     basis = GroebnerBasis(table, gens)
     sweep = PairSweep(basis, degree_cap)
+    # the pairs are distinct tuples, taken smallest first
     pending = [pair for j in range(len(basis)) for pair in sweep.pairs_with(j)]
-    pending.sort()
-    pos = 0
-    while pos < len(pending):
-        pair = pending[pos]
-        pos += 1
-        h = sweep.reduce(pair)
+    heapify(pending)
+    while pending:
+        h = sweep.reduce(heappop(pending))
         if h:
             basis._append(_normalize_sign(table, h))
-            tail = pending[pos:] + sweep.pairs_with(len(basis) - 1)
-            tail.sort()
-            pending = pending[:pos] + tail
+            for pair in sweep.pairs_with(len(basis) - 1):
+                heappush(pending, pair)
     return basis.minimalize()
 
 

@@ -101,7 +101,7 @@ def build_variable_table(bl: BlowupPoset, fan: Fan, layer_names=None) -> Variabl
     for label in bl.poset.labels:
         if label != bl.poset.zero:
             by_members.setdefault(label[0], []).append(label)
-    keys, weights, names, kinds = [], [], [], []
+    keys, weights, names = [], [], []
     order = bl.building.order
     for *_, label in entries:
         keys.append(("t", label))
@@ -112,13 +112,11 @@ def build_variable_table(bl: BlowupPoset, fan: Fan, layer_names=None) -> Variabl
             names.append("t{" + member_str + "|" + xname + "}")
         else:
             names.append("t{" + member_str + "}")
-        kinds.append("t")
     for ray_label in sorted(fan.ray_labels, reverse=True):
         keys.append(("c", ray_label))
         weights.append(1)
         names.append(f"c{ray_label + 1}")
-        kinds.append("c")
-    return VariableTable(keys, weights, names, kinds)
+    return VariableTable(keys, weights, names)
 
 
 def toric_relations(fan: Fan, table: VariableTable) -> list[Polynomial]:

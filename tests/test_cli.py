@@ -293,6 +293,46 @@ def test_subtorus_listed_twice_keeps_its_first_label(tmp_path, capsys, data_dir)
     assert code == 2 and "'again'" in err
 
 
+@pytest.mark.parametrize("labels, message", [
+    # once the first of two subtori labelled H1 became W1.1 and the label
+    # named the second
+    (["H1", "H1"], "subtorus label 'H1' is repeated"),
+    # once the poset report listed two layers called 1
+    (["1", "H2"], "subtorus label '1' is the name of the torus"),
+], ids=["repeated", "torus"])
+def test_clashing_subtorus_label_is_an_input_error(tmp_path, capsys, data_dir,
+                                                   labels, message):
+    data = json.loads((data_dir / "a22.arr.json").read_text())
+    for subtorus, label in zip(data["subtori"], labels):
+        subtorus["label"] = label
+    path = tmp_path / "clash.arr.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, ["poset", "--arrangement", str(path)])
+    assert code == 2
+    assert f"input error: {message}" in err
+
+
+def test_generated_layer_names_skip_a_taken_label(tmp_path, capsys, data_dir):
+    # H1 relabelled W2.1: the two points get W2.2 and W2.3, not a second W2.1
+    data = json.loads((data_dir / "a22.arr.json").read_text())
+    data["subtori"][0]["label"] = "W2.1"
+    path = tmp_path / "taken.arr.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, ["poset", "--arrangement", str(path),
+                                    "--deterministic"])
+    assert code == 0
+    layers = json.loads(out)["layers"]
+    names = [layer["name"] for layer in layers]
+    assert len(names) == len(set(names))
+    assert sorted(names) == ["1", "H2", "W2.1", "W2.2", "W2.3"]
+    sel = tmp_path / "building.json"
+    sel.write_text(json.dumps({"labels": ["W2.1", "H2"]}))
+    code, out, _ = run_cli(capsys, ["building", "--arrangement", str(path),
+                                    "--building", str(sel), "--deterministic"])
+    assert code == 0
+    assert sorted(json.loads(out)["members"]) == ["H2", "W2.1"]
+
+
 def test_model_betti_a22(capsys, data_dir):
     code, out, _ = run_cli(capsys, [
         "model-betti", "--arrangement", fixture_path(data_dir, "a22.arr.json"),

@@ -1,3 +1,4 @@
+from math import gcd
 from operator import add, le, mul, sub
 
 import pytest
@@ -10,8 +11,7 @@ from wondertoric.polyring import (
     PairSweep,
     Polynomial,
     VariableTable,
-    _gcd_pair,
-    _s_pair,
+    _ext_gcd,
     buchberger,
     graded_rank_oracle,
     groebner_witness,
@@ -21,16 +21,28 @@ from wondertoric.presentation import presentation_from_arrangement
 
 
 def s_polynomial(table, f, g):
-    return _s_pair(table, f, table.leading(f), g, table.leading(g))
+    """S-polynomial of f and g: each times lcm(leads) over its lead, scaled
+    to the lcm of the leading coefficients, the second taken off."""
+    (mf, cf), (mg, cg) = table.leading(f), table.leading(g)
+    lcm_m = table.mono_lcm(mf, mg)
+    lcm_c = abs(cf * cg) // gcd(cf, cg)
+    return (f.mul_term(lcm_c // cf, table.mono_div(lcm_m, mf))
+            - g.mul_term(lcm_c // cg, table.mono_div(lcm_m, mg)))
 
 
 def gcd_polynomial(table, f, g):
-    return _gcd_pair(table, f, table.leading(f), g, table.leading(g))
+    """GCD-polynomial of f and g: a*f and b*g under lcm(leads), with
+    a*c_f + b*c_g = gcd(c_f, c_g)."""
+    (mf, cf), (mg, cg) = table.leading(f), table.leading(g)
+    lcm_m = table.mono_lcm(mf, mg)
+    _, a, b = _ext_gcd(cf, cg)
+    return (f.mul_term(a, table.mono_div(lcm_m, mf))
+            + g.mul_term(b, table.mono_div(lcm_m, mg)))
 
 
 def table3():
     # x > y > z, all weight one
-    return VariableTable(("x", "y", "z"), (1, 1, 1), ("x", "y", "z"), ("c",) * 3)
+    return VariableTable(("x", "y", "z"), (1, 1, 1), ("x", "y", "z"))
 
 
 def mono(t, **exps):
@@ -61,7 +73,7 @@ def test_grevlex_degree_two_order():
 
 
 def test_grevlex_weighted():
-    t = VariableTable(("u", "v"), (2, 1), ("u", "v"), ("t", "c"))
+    t = VariableTable(("u", "v"), (2, 1), ("u", "v"))
     assert t.mono_degree(mono(t, u=1, v=1)) == 3
     assert mono(t, u=1) > mono(t, v=1)
 
@@ -92,16 +104,12 @@ def test_normal_form_coefficient_remainder():
     assert nf5.terms == {mono(t, x=1): 2}
 
 
-def test_normal_form_certificate():
+def test_normal_form_modulo_a_binomial():
+    # x^2 = x*y = y^2 modulo x - y
     t = table3()
-    g = t.poly({mono(t, x=1): 1, mono(t, y=1): -1})
-    gb = GroebnerBasis(t, [g])
-    f = t.poly({mono(t, x=2): 1})
-    nf, cert = gb.reduce(f, certificate=True)
-    recomposed = nf
-    for i, cof in cert.items():
-        recomposed = recomposed + cof * gb.elements[i]
-    assert recomposed == f
+    gb = GroebnerBasis(t, [t.poly({mono(t, x=1): 1, mono(t, y=1): -1})])
+    assert gb.reduce(t.poly({mono(t, x=2): 3, mono(t, z=2): 1})).terms == {
+        mono(t, y=2): 3, mono(t, z=2): 1}
 
 
 def test_buchberger_gcd_pair():
@@ -128,7 +136,7 @@ def test_is_groebner_detects_failure():
 
 def test_projective_line_escalier():
     # variables ranked c4 > c3: the linear form reduces c4, leaving {1, c3}
-    t = VariableTable(("c4", "c3"), (1, 1), ("c4", "c3"), ("c", "c"))
+    t = VariableTable(("c4", "c3"), (1, 1), ("c4", "c3"))
     nonface = t.poly({t.encode((1, 1)): 1})
     linear = t.poly({t.encode((0, 1)): 1, t.encode((1, 0)): -1})
     gb = buchberger(t, [nonface, linear], degree_cap=3)
@@ -158,7 +166,7 @@ def test_oracle_degree_zero():
 
 
 def test_oracle_detects_torsion():
-    t = VariableTable(("x",), (1,), ("x",), ("c",))
+    t = VariableTable(("x",), (1,), ("x",))
     rank, torsion = graded_rank_oracle(t, [t.term(2, t.encode((1,)))], 1)
     assert (rank, torsion) == (0, (2,))
 
@@ -199,11 +207,10 @@ def reference_reducer(basis):
     tails = [[(decode(m), c) for m, c in g.terms.items() if decode(m) != lm]
              for g, (lm, _) in zip(basis.elements, leads)]
 
-    def reduce(f, certificate=False):
+    def reduce(f):
         work = {decode(m): c for m, c in f.terms.items()}
         keys = {m: tuple_key(table, m) for m in work}
         out = {}
-        cert = {}
         while work:
             m = max(work, key=keys.__getitem__)
             c = work.pop(m)
@@ -227,14 +234,10 @@ def reference_reducer(basis):
                             keys[key] = tuple_key(table, key)
                     else:
                         work.pop(key, None)
-                if certificate:
-                    cert[i] = (cert.get(i, Polynomial({}))
-                               + Polynomial({table.encode(shift): q}))
                 c = r
                 if c == 0:
                     break
-        nf = Polynomial(out)
-        return (nf, cert) if certificate else nf
+        return Polynomial(out)
 
     return reduce, leads
 
@@ -260,7 +263,7 @@ def reference_is_groebner(table, polys, degree_cap):
 
 def table4():
     # weighted: a > b > c > d with weights 2, 1, 3, 1
-    return VariableTable("abcd", (2, 1, 3, 1), "abcd", ("c",) * 4)
+    return VariableTable("abcd", (2, 1, 3, 1), "abcd")
 
 
 monomials4 = st.tuples(*[st.integers(0, 2)] * 4)
@@ -274,10 +277,7 @@ polys4 = st.dictionaries(monomials4.map(table4().encode),
 def test_reduce_matches_linear_scan(gens, f):
     t = table4()
     basis = GroebnerBasis(t, gens)
-    nf, cert = basis.reduce(f, certificate=True)
-    ref_nf, ref_cert = reference_reducer(basis)[0](f, certificate=True)
-    assert nf == ref_nf
-    assert cert == ref_cert
+    assert basis.reduce(f) == reference_reducer(basis)[0](f)
 
 
 # -- the packed encoding against exponent tuples ------------------------------
@@ -289,7 +289,7 @@ def weighted_table(draw):
     n = draw(st.integers(1, 5))
     weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     names = [f"v{i}" for i in range(n)]
-    return VariableTable(names, weights, names, ("c",) * n)
+    return VariableTable(names, weights, names)
 
 
 def exponent_tuples(t, degree):
@@ -352,7 +352,7 @@ def test_encoding_matches_exponent_tuples(data):
 
 def test_field_overflow_raises():
     # w has weight one, so its exponent can fill its whole field
-    t = VariableTable("uvw", (2, 3, 1), "uvw", ("c",) * 3)
+    t = VariableTable("uvw", (2, 3, 1), "uvw")
     top = t.max_degree
     full = t.encode((0, 0, top))
     assert t.exponents(full) == (0, 0, top)

@@ -16,10 +16,12 @@ order, the same rank and torsion, and the same basis, term for term.
 
 ``TupleReducer`` is the reducer on dense exponent tuples that the packed
 monomials replaced; the packed ``GroebnerBasis.reduce`` must give the
-same normal forms and certificates.  ``PairSweep.reduce`` memoises the
-normal form of each monomial while every leading coefficient is 1; its
-reference, ``heap_pair_reduce``, builds the pair's polynomial and hands
-it to ``GroebnerBasis.reduce``.
+same normal forms, by either of its routes.  While every leading
+coefficient is 1 the basis memoises the normal form of each monomial;
+its reference, ``heap_reduce``, takes the heap route whatever the leads.
+``PairSweep.reduce`` writes each pair from the stored tails; its
+reference, ``heap_pair_reduce``, builds the pair's polynomial with
+``s_polynomial`` or ``gcd_polynomial`` and reduces it by the heap.
 
 The sweep's reducer lists come from an index of lead supports, and
 ``pairs_with`` counts the disjoint pairs of unit leads by popcount:
@@ -43,14 +45,15 @@ from wondertoric.polyring import (
     PairSweep,
     Polynomial,
     VariableTable,
-    _gcd_pair,
-    _s_pair,
     _sparse_quotient,
     buchberger,
     graded_rank_oracle,
     groebner_witness,
 )
 from wondertoric.presentation import presentation_from_arrangement, toric_relations
+
+from test_polyring import gcd_polynomial, s_polynomial
+from test_presentation import relabelled
 
 # -- reference oracles -----------------------------------------------------
 
@@ -302,12 +305,12 @@ class TupleReducer:
             self.candidates[mask] = found
         return found
 
-    def reduce(self, f, certificate=False):
+    def reduce(self, f):
         table = self.table
         work = {table.exponents(m): c for m, c in f.terms.items()}
         front = [(-self.degree(m), m[::-1], m, tuple_mask(m)) for m in work]
         heapify(front)
-        out, cert = {}, {}
+        out = {}
         while front:
             neg_deg, _, m, mask = heappop(front)
             c = work.pop(m, None)
@@ -345,13 +348,9 @@ class TupleReducer:
                         del work[key]
                     else:
                         work[key] = old - qc
-                if certificate:
-                    cert[i] = (cert.get(i, Polynomial({}))
-                               + Polynomial({table.encode(shift): q}))
                 if c == 0:
                     break
-        nf = Polynomial(out)
-        return (nf, cert) if certificate else nf
+        return Polynomial(out)
 
 
 def term_lists(basis):
@@ -436,12 +435,36 @@ def test_buchberger_matches_reference_minimalize_on_restricted_bases(
     assert got == want
 
 
+def test_minimalize_reduces_each_tail_with_a_fresh_memo(monkeypatch):
+    # x > y > z > w, unit leads.  x + y reduces its tail to -z and memoises
+    # N(y) = -z; the write-back of x - z drops that memo, so each tail
+    # reduction starts empty
+    t = VariableTable("xyzw", (1,) * 4, "xyzw")
+    x, y, z, w = (t.variable(v) for v in "xyzw")
+    basis = GroebnerBasis(t, [t.poly({x: 1, y: 1}), t.poly({y: 1, z: 1}),
+                              t.poly({t.mono_mul(z, w): 1, t.mono_mul(w, w): 1})])
+    memos = []
+    reduce = GroebnerBasis.reduce
+
+    def spy(b, f):
+        before = len(b._normal)
+        nf = reduce(b, f)
+        memos.append((before, len(b._normal)))
+        return nf
+
+    monkeypatch.setattr(GroebnerBasis, "reduce", spy)
+    got = basis.minimalize()
+    assert [t.poly_name(f) for f in got.elements] == ["y+z", "x-z", "z*w+w^2"]
+    assert memos == [(0, 2), (0, 1), (0, 1)]
+    assert term_lists(got) == term_lists(reference_minimalize(basis))
+
+
 def test_minimalize_reduces_against_reduced_earlier_elements():
     # x > y > z > w.  x + 2y loses 2y to 2y + w and becomes x - w, which
     # turns the tail x*w of z^2 + x*w into w^2.  The unreduced x + 2y
     # would leave -2*y*w, which y*w + z*w, tried before 2y + w, turns
     # into 2*z*w: the basis is not a Groebner basis, so the order matters.
-    t = VariableTable("xyzw", (1,) * 4, "xyzw", ("c",) * 4)
+    t = VariableTable("xyzw", (1,) * 4, "xyzw")
     x, y, z, w = (t.variable(v) for v in "xyzw")
     m = t.mono_mul
     basis = GroebnerBasis(t, [
@@ -463,7 +486,7 @@ def weighted_bases(draw):
     n = draw(st.integers(1, 4))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     names = [f"v{i}" for i in range(n)]
-    table = VariableTable(names, weights, names, ("c",) * n)
+    table = VariableTable(names, weights, names)
     gens = draw(st.lists(tuple_polys(table, 3), max_size=5))
     positions = draw(st.none() | st.lists(st.integers(0, n - 1), unique=True))
     return GroebnerBasis(table, gens), positions
@@ -499,7 +522,7 @@ def homogeneous_inputs(draw):
     n = draw(st.integers(1, 4))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     names = [f"v{i}" for i in range(n)]
-    table = VariableTable(names, weights, names, ("c",) * n)
+    table = VariableTable(names, weights, names)
     d = draw(st.integers(1, 3))
     monomials = table.monomials_of_degree(d)
     if not monomials:
@@ -524,7 +547,7 @@ def test_buchberger_matches_reference_minimalize_on_weighted_tables(inputs):
     assert got == want
 
 
-V0 = VariableTable(["v0"], [1], ["v0"], ["c"])
+V0 = VariableTable(["v0"], [1], ["v0"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -549,7 +572,7 @@ def oracle_inputs(draw):
     n = draw(st.integers(1, 4))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     names = [f"v{i}" for i in range(n)]
-    table = VariableTable(names, weights, names, ("c",) * n)
+    table = VariableTable(names, weights, names)
     gens = []
     for _ in range(draw(st.integers(0, 6))):
         monomials = table.monomials_of_degree(draw(st.integers(0, 3)))
@@ -581,7 +604,7 @@ def test_oracle_matches_full_column_reference_on_weighted_tables(inputs):
 def test_escalier_weights_and_non_unit_leads():
     # 2x is a lead like y: over Z the quotient by <2x, y> has free rank 0
     # in every positive degree
-    t = VariableTable("xy", (1, 2), "xy", ("c", "c"))
+    t = VariableTable("xy", (1, 2), "xy")
     basis = GroebnerBasis(t, [t.term(2, t.encode((1, 0))), t.term(1, t.encode((0, 1)))])
     assert basis.standard_monomials(3) == []
     assert basis.standard_monomials(2, [1]) == []
@@ -598,9 +621,22 @@ def test_escalier_weights_and_non_unit_leads():
 def pair_polynomial(basis, pair):
     """The S- or GCD-polynomial of a ``pairs_with`` pair, as a Polynomial."""
     _, i, j, kind = pair
-    make = _s_pair if kind == "S" else _gcd_pair
-    return make(basis.table, basis.elements[i], (basis._lm[i], basis._lc[i]),
-                basis.elements[j], (basis._lm[j], basis._lc[j]))
+    make = s_polynomial if kind == "S" else gcd_polynomial
+    return make(basis.table, basis.elements[i], basis.elements[j])
+
+
+def heap_reduce(basis, f):
+    """``basis.reduce(f)`` by the heap route, whatever the leads."""
+    return basis._heap(((0, 1, [(-m, c) for m, c in f.terms.items()]),))
+
+
+def unit_leads(basis, unit=None):
+    """The basis with the leading coefficients flagged in ``unit`` (by
+    default all of them) set to 1."""
+    unit = [True] * len(basis) if unit is None else unit
+    return GroebnerBasis(basis.table, [
+        Polynomial({**f.terms, lm: 1}) if one else f
+        for f, lm, one in zip(basis.elements, basis._lm, unit)])
 
 
 def alpha_pairs(basis, cap):
@@ -625,10 +661,10 @@ def test_reduce_matches_tuple_reducer_on_alpha_pairs(running):
     reference = TupleReducer(basis)
     pairs = [f for _, f in alpha_pairs(basis, pres.degree_cap)]
     assert len(pairs) == reductions
+    assert basis._unit
     for f in pairs:
-        nf, cert = basis.reduce(f, certificate=True)
-        assert not nf
-        assert (nf, cert) == reference.reduce(f, certificate=True)
+        assert not basis.reduce(f)
+        assert not reference.reduce(f)
 
 
 @st.composite
@@ -640,9 +676,14 @@ def bases_and_polys(draw):
 @settings(max_examples=200, deadline=None)
 @given(bases_and_polys())
 def test_reduce_matches_tuple_reducer_on_weighted_tables(basis_poly):
+    # by the heap route, and by the memo on the basis with unit leads
     basis, f = basis_poly
-    assert (basis.reduce(f, certificate=True)
-            == TupleReducer(basis).reduce(f, certificate=True))
+    unit = unit_leads(basis)
+    assert unit._unit
+    for b in (basis, unit):
+        got = b.reduce(f)
+        assert got == TupleReducer(b).reduce(f)
+        assert list(got.terms.items()) == list(heap_reduce(b, f).terms.items())
 
 
 def tuple_witness(table, polys, cap):
@@ -674,13 +715,32 @@ def test_witness_matches_tuple_reducer_on_broken_alpha(running):
     assert "None" not in got
 
 
-# -- the sweep's memoised normal forms against GroebnerBasis.reduce ----------
+def test_witness_matches_tuple_reducer_on_a_non_unit_alpha():
+    # with the A(2,2) rays in this order alpha has the lead 2*c2*c1, so its
+    # pairs, written from the stored tails, take the heap route; whole it
+    # is a Groebner basis, and less its first toric linear form the first
+    # failing pair is the one the tuple reducer finds
+    pres = presentation_from_arrangement(
+        a_n_c(2, 2), relabelled(a22_fan(), (4, 3, 5, 7, 2, 6, 0, 1)))
+    table, cap, alpha = pres.table, pres.degree_cap, pres.alpha()
+    dropped = next(g for g in pres.toric_gb().elements if len(g.terms) > 1)
+    broken = [f for f in alpha if f != dropped]
+    assert len(broken) == len(alpha) - 1
+    for polys in (alpha, broken):
+        assert not GroebnerBasis(table, polys)._unit
+    assert groebner_witness(table, alpha, cap) is None
+    assert tuple_witness(table, alpha, cap) is None
+    got = groebner_witness(table, broken, cap)
+    assert got is not None and got == tuple_witness(table, broken, cap)
+
+
+# -- the basis's memoised normal forms against the heap route ----------------
 
 
 def heap_pair_reduce(sweep, pair):
     """The reference for ``PairSweep.reduce``: build the pair's polynomial
-    and reduce it with ``GroebnerBasis.reduce``."""
-    return sweep.basis.reduce(pair_polynomial(sweep.basis, pair))
+    and reduce it by the heap route."""
+    return heap_reduce(sweep.basis, pair_polynomial(sweep.basis, pair))
 
 
 def assert_pairs_match_heap(basis, cap):
@@ -715,12 +775,9 @@ def sweep_bases(draw):
     cap from 0 to 8."""
     basis, _ = draw(weighted_bases())
     n = len(basis)
-    unit = [True] * n if draw(st.booleans()) else draw(
+    unit = None if draw(st.booleans()) else draw(
         st.lists(st.booleans(), min_size=n, max_size=n))
-    basis = GroebnerBasis(basis.table, [
-        Polynomial({**f.terms, lm: 1}) if one else f
-        for f, lm, one in zip(basis.elements, basis._lm, unit)])
-    return basis, draw(st.integers(0, 8))
+    return unit_leads(basis, unit), draw(st.integers(0, 8))
 
 
 @settings(max_examples=200, deadline=None)
@@ -733,10 +790,9 @@ def test_sweep_memoises_no_monomial_zero(model):
     # a term whose first reducer is a monomial reduces to 0 at once; only
     # the other normal forms are kept
     basis = GroebnerBasis(model.table, model.alpha())
-    sweep = PairSweep(basis, model.degree_cap)
-    assert sweep.witness() is None
-    assert sweep._normal
-    for key in sweep._normal:
+    assert PairSweep(basis, model.degree_cap).witness() is None
+    assert basis._normal
+    for key in basis._normal:
         first = basis._first_reducer(key)
         assert first < 0 or basis._tails[first], key
 
@@ -858,7 +914,7 @@ def test_candidates_match_variable_scan_on_weighted_tables(basis_masks):
 
 
 def test_candidates_include_a_constant_lead():
-    t = VariableTable("xyz", (1,) * 3, "xyz", ("c",) * 3)
+    t = VariableTable("xyz", (1,) * 3, "xyz")
     basis = GroebnerBasis(t, [t.term(1, t.variable("x")), t.const(2),
                               t.term(1, t.variable("y"))])
     x = t.mono_mask(t.variable("x"))
@@ -874,10 +930,22 @@ def test_pairs_match_visits_on_weighted_tables(basis_cap):
     assert_pairs_match_visits(*basis_cap)
 
 
+def test_gcd_pair_from_the_tails_matches_heap():
+    # 2x + y and 3x + z: the GCD-pair -(2x + y) + (3x + z) = x - y + z is
+    # written from the two tails and the lead gcd(2, 3) * x
+    t = VariableTable("xyz", (1,) * 3, "xyz")
+    x, y, z = (t.variable(v) for v in "xyz")
+    basis = GroebnerBasis(t, [t.poly({x: 2, y: 1}), t.poly({x: 3, z: 1})])
+    sweep = PairSweep(basis, 1)
+    assert sweep.pairs_with(1) == [(1, 0, 1, "S"), (1, 0, 1, "G")]
+    assert t.poly_name(sweep.reduce((1, 0, 1, "G"))) == "x-y+z"
+    assert assert_pairs_match_heap(basis, 1) == 2
+
+
 def test_disjoint_pair_with_a_non_unit_lead_is_reduced():
     # x^2 and y^2 share no variable, but 2*x^2 is no unit lead: the product
     # criterion does not apply over Z, and the S-pair is reduced
-    t = VariableTable("xy", (1, 1), "xy", ("c", "c"))
+    t = VariableTable("xy", (1, 1), "xy")
     x, y = t.variable("x"), t.variable("y")
     basis = GroebnerBasis(t, [t.poly({x + x: 2, x + y: 1}), t.term(1, y + y)])
     assert PairSweep(basis, 4).pairs_with(1) == [(4, 0, 1, "S")]
@@ -888,25 +956,25 @@ def test_buchberger_forgets_normal_forms_when_the_basis_grows(monkeypatch):
     # x > y > z.  The first S-pair reduces to x*z - 2*z^2, whose lead its
     # reduction memoised as irreducible; the next pair, of the same degree,
     # meets x*z again, which the new element reduces.  Later the lead 5*z^3
-    # sends the sweep to GroebnerBasis.reduce
-    t = VariableTable("xyz", (1,) * 3, "xyz", ("c",) * 3)
+    # sends the basis to the heap route
+    t = VariableTable("xyz", (1,) * 3, "xyz")
     x, y, z = (t.variable(v) for v in "xyz")
     m = t.mono_mul
     gens = [t.poly({m(x, x): 1, m(x, z): 1, m(z, z): -1}),
             t.poly({m(x, x): 1, m(z, z): 1}),
             t.poly({m(x, x): 1, m(x, y): -1, m(z, z): -1})]
     changed = []
-    reduce = PairSweep.reduce
+    append = GroebnerBasis._append
 
-    def spy(sweep, pair):
-        basis = sweep.basis
-        if sweep._normal and len(basis) != sweep._size:
-            changed.extend(
-                key for key, nf in sweep._normal.items()
-                if basis.reduce(Polynomial({-key: 1})).terms != {-m: c for m, c in nf})
-        return reduce(sweep, pair)
+    def spy(basis, f):
+        memo = basis._normal
+        append(basis, f)
+        assert not basis._normal
+        changed.extend(
+            key for key, nf in memo.items()
+            if heap_reduce(basis, Polynomial({-key: 1})).terms != {-m: c for m, c in nf})
 
-    monkeypatch.setattr(PairSweep, "reduce", spy)
+    monkeypatch.setattr(GroebnerBasis, "_append", spy)
     basis = buchberger(t, gens, 4)
     assert changed
     assert [t.poly_name(f) for f in basis.elements] == [
