@@ -129,21 +129,38 @@ def am_monomial(pres, item: AMItem) -> Monomial:
     return mono
 
 
+def _restricted_escalier(pres, layer) -> list[list[Monomial]]:
+    """The standard monomials of the restricted basis of ``layer``, by degree
+    up to the torus dimension k = dim - rank of the layer in the poset,
+    above which the ring of the restricted smooth complete fan vanishes
+    (Cox, Little and Schenck 2011, section 12.4); a standard monomial of
+    degree k + 1 fails."""
+    gb, positions = pres.restricted_gb(layer)
+    k = pres.dim - pres.poset.rank(layer)
+    above = gb.standard_monomials(k + 1, positions)
+    if above:
+        cap = pres.degree_cap
+        raise AssertionError(
+            f"escalier of layer {pres.layer_name(layer)} does not vanish above"
+            f" its torus dimension {k}"
+            + (f" (the degree cap {cap} is below {k} + 1, so its restricted"
+               f" basis is complete only up to degree {cap})" if cap <= k else "")
+            + ": " + ", ".join(pres.table.mono_name(m) for m in above))
+    return [gb.standard_monomials(d, positions) for d in range(k + 1)]
+
+
 def enumerate_b(pres) -> list[tuple[Monomial, int]]:
     """The additive basis: admissible monomials times restricted escaliers."""
     out = []
+    escaliers: dict = {}
     for item in enumerate_am(pres):
         layer = pres.bl.pi[item.chain[-1]] if item.chain else pres.poset.zero
-        gb, positions = pres.restricted_gb(layer)
+        if layer not in escaliers:
+            escaliers[layer] = _restricted_escalier(pres, layer)
         base = am_monomial(pres, item)
-        d = 0
-        while True:
-            std = gb.standard_monomials(d, positions)
-            if not std:
-                break
+        for d, std in enumerate(escaliers[layer]):
             for b in std:
                 out.append((pres.table.mono_mul(base, b), item.degree + d))
-            d += 1
     out.sort(key=lambda t: (t[1], t[0]))
     return out
 

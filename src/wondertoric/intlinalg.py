@@ -223,6 +223,13 @@ class Sublattice:
     ambient_rank: int
     basis: tuple[tuple[int, ...], ...] = field(default=())
 
+    def __post_init__(self):
+        # sublattices key the poset's dicts; hash the basis once
+        object.__setattr__(self, "_hash", hash((self.ambient_rank, self.basis)))
+
+    def __hash__(self):
+        return self._hash
+
     @staticmethod
     def from_rows(ambient_rank: int, rows) -> "Sublattice":
         rows = [tuple(map(int, r)) for r in rows]

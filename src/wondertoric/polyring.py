@@ -13,10 +13,11 @@ guard bit, left clear.  So K(a*b) = K(a) + K(b); ascending K is the
 monomial order, degree first and reverse lexicographic on ties; a | b
 exactly when K(a) - K(b) sets no guard bit, as the lowest field of the
 exponent difference to go negative sets its own; and the guard bits of
--K + (2^(W-1) - 1) mark the variables of the monomial.  A degree of at
-most ``max_degree`` = 2^(W-1) - 1 bounds every exponent, so the table
-refuses a monomial above it rather than let a field spill into the next;
-the package's degree-capped runs stay far below it.
+-K + (2^(W-1) - 1) mark the variables of the monomial, so ``support``
+takes one step per variable of the monomial, not one per field.  A
+degree of at most ``max_degree`` = 2^(W-1) - 1 bounds every exponent, so
+the table refuses a monomial above it rather than let a field spill into
+the next; the package's degree-capped runs stay far below it.
 
 The Groebner machinery is the strong (Z-coefficient) variant: reduction
 divides coefficients with remainder, and completion closes under both
@@ -40,9 +41,10 @@ small enough degrees; no other pair is looked at.  It skips S-pairs of
 two monomials, and it applies Buchberger's product criterion: coprime
 leads whose leading coefficients are both units need no S-pair and give
 no GCD-pair.  Over Z the criterion is sound only with unit coefficients
-(Lichtblau 2012).  Disjoint pairs of unit leads are counted by popcount,
-not visited.  ``groebner_witness`` returns the first pair whose normal
-form is nonzero, which ``is_groebner`` reduces to a bool.
+(Lichtblau 2012).  Disjoint pairs of unit leads, and the pairs of a
+monomial of leading coefficient 1 with every other monomial, are counted
+by popcount, not visited.  ``groebner_witness`` returns the first pair
+whose normal form is nonzero, which ``is_groebner`` reduces to a bool.
 
 When every leading coefficient is 1 (a flag kept as elements are
 added), the reducer of a term c*m is the first candidate whose lead
@@ -66,6 +68,8 @@ costs.  ``GroebnerBasis.standard_monomials`` grows the escalier degree by
 degree outside the initial ideal, testing each new monomial against all
 leads, whatever their coefficients, through the divisibility index; over
 Z their count is the free rank, and torsion is the oracle's to find.
+The basis keeps the levels it has grown, per set of positions, until it
+grows itself, so asking for degree d + 1 after degree d costs one level.
 ``graded_rank_oracle`` works modulo the unit-coefficient monomial
 generators, drops the columns of single-unit rows at once, eliminates the
 remaining unit entries in Markowitz order off a heap, and hands what is
@@ -135,16 +139,17 @@ class VariableTable:
         return tuple(out)
 
     def support(self, m: Monomial) -> list[tuple[int, int]]:
-        """``(position, exponent)`` of each variable of ``m``, ascending."""
-        e = -m & self._low
-        field = self.max_degree
+        """``(position, exponent)`` of each variable of ``m``, ascending:
+        one step per set guard bit of its support mask."""
+        e = -m
+        bits = (e + self._fill) & self._guard
         out = []
-        p = 0
-        while e:
-            if e & field:
-                out.append((p, e & field))
-            e >>= FIELD_BITS
-            p += 1
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            # the field of position p starts at bit W*p, its guard at W*p + W-1
+            s = low.bit_length() - FIELD_BITS
+            out.append((s // FIELD_BITS, e >> s & self.max_degree))
         return out
 
     def _checked(self, m: Monomial) -> Monomial:
@@ -363,6 +368,8 @@ class GroebnerBasis:
         # N(m) as ((-K, coefficient), ...) per -K(m) for _linear
         self._unit = True
         self._normal: dict[int, tuple[tuple[int, int], ...]] = {}
+        # positions -> the escalier levels standard_monomials has grown there
+        self._levels: dict[tuple[int, ...], list[set[Monomial]]] = {}
         seen = set()
         for f in polys:
             if not f:
@@ -403,6 +410,7 @@ class GroebnerBasis:
                 found.append(k)
         # a new lead can make an irreducible monomial reducible
         self._normal = {}
+        self._levels = {}
 
     def __len__(self):
         return len(self.elements)
@@ -619,7 +627,9 @@ class GroebnerBasis:
         ideal, so level k is grown from the levels below it: each standard
         m of degree k - w_p times x_p, kept unless a lead divides it.  The
         cost follows the escalier, not the number of degree-d monomials.
-        Largest first under the monomial order.
+        The levels are kept per ``positions`` until the basis grows, and
+        extended only as far as asked.  Largest first under the monomial
+        order, in a new list.
         """
         if d < 0:
             return []
@@ -628,8 +638,10 @@ class GroebnerBasis:
         pos = tuple(positions) if positions is not None else tuple(range(table.n))
         first = self._first_reducer
         # levels[k]: the standard monomials of degree k
-        levels = [set() if first(0) >= 0 else {0}]
-        for k in range(1, d + 1):
+        levels = self._levels.get(pos)
+        if levels is None:
+            levels = self._levels[pos] = [set() if first(0) >= 0 else {0}]
+        for k in range(len(levels), d + 1):
             level = set()
             for p in pos:
                 w = table.weights[p]
@@ -677,11 +689,15 @@ class PairSweep:
     product criterion: when the two leads are coprime and both leading
     coefficients are units, the S-polynomial has a standard representation
     over the pair itself, and no GCD-pair arises.  Over Z the criterion
-    needs the unit coefficients (Lichtblau 2012).  So when c_j is 1, the
-    disjoint pairs of unit leads under the cap are counted by popcount;
-    the other pairs are visited in ascending i.  ``counts`` holds how many
-    pairs were met, how many of them fell in each case, and how many
-    reductions ``reduce`` did.
+    needs the unit coefficients (Lichtblau 2012).  So when c_j is 1, two
+    kinds of pair are counted by popcount: if j is a monomial, its pairs
+    with every monomial i, which need no work whatever their lcm degree;
+    then the disjoint pairs of unit leads under the cap.  The other pairs
+    are visited in ascending i.  ``counts`` holds how many pairs were met,
+    how many of them fell in each case, and how many reductions ``reduce``
+    did.  A pair goes to the first case that takes it, in the order
+    monomial with c_j = 1, over the cap, monomial, criterion: so a pair of
+    two monomials with c_j = 1 counts as ``monomial`` even above the cap.
 
     ``reduce`` writes the S- or GCD-pair as parts over the stored tails of
     its two elements, each moved under the lcm, and hands them to the
@@ -715,13 +731,17 @@ class PairSweep:
         disjoint &= below & ~share
         monomial = criterion = 0
         if c_j == 1:
-            # disjoint unit leads: a monomial pair when neither has a tail,
-            # else the criterion, and no GCD-pair; counted, not visited
+            # counted, not visited: with a monomial j, every monomial i (a
+            # zero S-pair, and c_i % 1 == 0 gives no GCD-pair), whatever
+            # the lcm degree; then the disjoint unit leads, the criterion
+            if not tails[j]:
+                bare = below & b._bare_bits
+                monomial = bare.bit_count()
+                share &= ~bare
+                disjoint &= ~bare
             units = disjoint & b._unit_bits
             disjoint ^= units
-            if not tails[j]:
-                monomial = (units & b._bare_bits).bit_count()
-            criterion = units.bit_count() - monomial
+            criterion = units.bit_count()
         near = share | disjoint
         out = []
         over = j - monomial - criterion

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -466,6 +469,26 @@ def test_low_cap_names_the_monomials_that_do_not_vanish(capsys, data_dir):
     assert "dimension 3 (the degree cap 2 is below dim + 1," in err
     assert err.rstrip().endswith("so alpha is verified only up to degree 2): "
                                  "c7*c1^3, c1^4")
+
+
+@pytest.mark.parametrize("fixture, command, dim", [
+    ("running", "admissible", 3), ("running", "verify", 3), ("a22", "admissible", 2)])
+def test_cap_at_or_below_the_dimension_fails_and_does_not_hang(data_dir, fixture,
+                                                                command, dim):
+    # a restricted basis truncated at the cap keeps a standard monomial in
+    # every degree, so the additive basis must stop at the torus dimension
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wondertoric.cli", command,
+         "--arrangement", fixture_path(data_dir, f"{fixture}.arr.json"),
+         "--fan", fixture_path(data_dir, f"{fixture}.fan.json"), "--cap", "2"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(
+        f"verification failure: escalier of layer 1 does not vanish above its "
+        f"torus dimension {dim} (the degree cap 2 is below {dim} + 1,")
 
 
 # Reports pinned before monomials were packed into ints (the blowup reports

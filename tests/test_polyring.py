@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wondertoric.fixtures import a22_fan, a_n_c, running_arrangement, running_fan
 from wondertoric.polyring import (
+    FIELD_BITS,
     GroebnerBasis,
     PairSweep,
     Polynomial,
@@ -379,6 +380,46 @@ def test_pruned_sweep_matches_reference(gens):
     assert is_groebner(t, gens, 40) == reference_is_groebner(t, gens, 40)
 
 
+def field_support(table, m):
+    """``table.support(m)`` by a walk over every exponent field up to the
+    highest nonzero one."""
+    e = -m & table._low
+    out, p = [], 0
+    while e:
+        if e & table.max_degree:
+            out.append((p, e & table.max_degree))
+        e >>= FIELD_BITS
+        p += 1
+    return out
+
+
+@st.composite
+def sparse_exponents(draw):
+    """A table of 1 to 48 variables of weights 1 to 3 and an exponent tuple
+    of degree at most ``max_degree``: the top position and a lone exponent
+    of ``max_degree`` may occur."""
+    n = draw(st.integers(1, 48))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    table = VariableTable(range(n), weights, [f"v{i}" for i in range(n)])
+    exps, budget = [0] * n, table.max_degree
+    for p in draw(st.lists(st.just(n - 1) | st.integers(0, n - 1), unique=True,
+                           max_size=6)):
+        if budget >= weights[p]:
+            exps[p] = draw(st.integers(1, budget // weights[p]))
+            budget -= weights[p] * exps[p]
+    return table, tuple(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_exponents())
+def test_support_matches_a_walk_over_the_fields(table_exps):
+    table, exps = table_exps
+    m = table.encode(exps)
+    want = [(p, e) for p, e in enumerate(exps) if e]
+    assert table.support(m) == field_support(table, m) == want
+    assert table.exponents(m) == exps
+
+
 def test_product_criterion_needs_unit_coefficients():
     t = table3()
     z = mono(t, z=1)
@@ -422,8 +463,10 @@ def test_sweep_counts_running_min():
                                          selector="min")
     sweep = PairSweep(GroebnerBasis(pres.table, pres.alpha()), pres.degree_cap)
     assert sweep.witness() is None
-    assert sweep.counts == {"pairs": 148240, "over_cap": 128144,
-                            "monomial": 10835, "criterion": 7041,
+    # a pair of two monomials with c_j = 1 counts as monomial whatever its
+    # lcm degree; the perfbench gate classifies by the cap first
+    assert sweep.counts == {"pairs": 148240, "over_cap": 31099,
+                            "monomial": 107880, "criterion": 7041,
                             "reduced": 2220}
 
 

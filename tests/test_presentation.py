@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wondertoric.admissible import check_recursion
 from wondertoric.arrangement import Layer, ToricArrangement
-from wondertoric.fan import make_fan
+from wondertoric.fan import make_fan, restrict_fan
 from wondertoric.fixtures import (
     a22_fan,
     a_n_c,
@@ -15,7 +15,7 @@ from wondertoric.fixtures import (
     running_fan,
     running_named_layers,
 )
-from wondertoric.poset import make_building_set
+from wondertoric.poset import contraction, deletion, make_building_set
 from wondertoric.presentation import (
     ModelPresentation,
     presentation_from_arrangement,
@@ -192,6 +192,28 @@ def test_point_blowup_on_projective_line():
     fan = make_fan(1, [(1,), (-1,)], [frozenset({0}), frozenset({1})])
     pres = presentation_from_arrangement(arr, fan, selector="min")
     assert pres.betti().ranks == [1, 1]
+
+
+@pytest.mark.parametrize("fixture, selector", [
+    ("running", "min"), ("running", "max"), ("a22", "min")])
+def test_deletion_and_contraction_are_built_once(fixture, selector):
+    arr, fan = ((running_arrangement(), running_fan()) if fixture == "running"
+                else (a_n_c(2, 2), a22_fan()))
+    pres = presentation_from_arrangement(arr, fan, selector=selector)
+    deleted, contracted = pres.delete_last(), pres.contract_last()
+    assert pres.delete_last() is deleted and pres.contract_last() is contracted
+    sub, building = deletion(pres.poset, pres.building)
+    x = pres.building.last
+    upper, upper_building = contraction(pres.poset, pres.building, x)
+    fresh = (ModelPresentation(sub, building, pres.fan, pres.layer_names,
+                               pres.degree_cap),
+             ModelPresentation(upper, upper_building,
+                               restrict_fan(pres.fan, x.lattice), pres.layer_names))
+    for kept, new in zip((deleted, contracted), fresh):
+        assert kept.table.keys == new.table.keys
+        assert kept.relations().all() == new.relations().all()
+        assert kept.alpha() == new.alpha()
+        assert kept.betti().ranks == new.betti().ranks
 
 
 def test_restriction_map_images(running_pres):

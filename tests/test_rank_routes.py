@@ -24,9 +24,10 @@ reference, ``heap_pair_reduce``, builds the pair's polynomial with
 ``s_polynomial`` or ``gcd_polynomial`` and reduces it by the heap.
 
 The sweep's reducer lists come from an index of lead supports, and
-``pairs_with`` counts the disjoint pairs of unit leads by popcount:
+``pairs_with`` counts by popcount the disjoint pairs of unit leads and,
+for a monomial of leading coefficient 1, its pairs with every monomial:
 ``scan_candidates`` finds the reducers by a scan of the variables, and
-``visiting_pairs_with`` visits every pair under the cap.
+``visiting_pairs_with`` visits every pair.
 """
 
 from heapq import heapify, heappop, heappush
@@ -508,6 +509,36 @@ def test_escalier_matches_reference_on_weighted_tables(basis_positions, d):
             == reference_standard_monomials(basis, d, positions))
 
 
+@st.composite
+def escalier_walks(draw):
+    """A weighted basis and steps, each a degree and positions to ask the
+    escalier for or a polynomial to append to the basis."""
+    basis, _ = draw(weighted_bases())
+    n = basis.table.n
+    asks = st.tuples(st.integers(0, 6),
+                     st.none() | st.lists(st.integers(0, n - 1), unique=True))
+    steps = draw(st.lists(asks | tuple_polys(basis.table, 3), min_size=1, max_size=8))
+    return basis, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(escalier_walks())
+def test_escalier_memo_follows_the_basis_as_it_grows(walk):
+    # after each step every escalier asked for so far is asked again, so a
+    # level kept from before an append is caught
+    basis, steps = walk
+    asked = []
+    for step in steps:
+        if isinstance(step, Polynomial):
+            _, lc = basis.table.leading(step)
+            basis._append(step if lc > 0 else -step)
+        else:
+            asked.append(step)
+        for d, positions in asked:
+            assert (basis.standard_monomials(d, positions)
+                    == reference_standard_monomials(basis, d, positions)), (d, positions)
+
+
 @settings(max_examples=200, deadline=None)
 @given(weighted_bases())
 def test_minimalize_matches_reference_on_weighted_tables(basis_positions):
@@ -817,10 +848,12 @@ def scan_candidates(basis, term_mask):
 
 
 def visiting_pairs_with(sweep, j):
-    """``pairs_with(j)`` and its counts, visiting every pair whose leads
-    share a variable or whose lead degrees add up to at most the cap (the
-    others are over it): the lcm degree, the monomial case and the
-    criterion, pair by pair."""
+    """``pairs_with(j)`` and its counts, visiting every pair: with c_j = 1,
+    a pair of two monomials is a monomial pair at any lcm degree; else a
+    pair counts as visited when its leads share a variable or their
+    degrees add up to at most the cap (the others are over it), and then
+    the lcm degree, the monomial case and the criterion decide, pair by
+    pair."""
     b = sweep.basis
     weights, cap = b.table.weights, sweep.degree_cap
     lcs, masks, degs, tails = b._lc, b._mask, b._deg, b._tails
@@ -835,6 +868,10 @@ def visiting_pairs_with(sweep, j):
     counts = {"pairs": j, "over_cap": j, "monomial": 0, "criterion": 0}
     out = []
     for i in range(j):
+        if c_j == 1 and not tails[j] and not tails[i]:
+            counts["over_cap"] -= 1
+            counts["monomial"] += 1
+            continue
         if not near >> i & 1:
             continue
         deg = degs[i] + deg_j
