@@ -56,7 +56,6 @@ from .polyring import (
     buchberger,
     graded_rank_oracle,
     groebner_witness,
-    is_groebner,
 )
 from .poset import (
     BlowupPoset,

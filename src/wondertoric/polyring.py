@@ -35,7 +35,7 @@ tried in the order they were added, so the reducer chosen, and every
 normal form, is the one a linear scan of the leads would give.
 
 ``PairSweep`` is the one pair generator behind ``buchberger`` and
-``is_groebner``.  Bitsets by lead variable and by lead degree give the
+``basis_witness``.  Bitsets by lead variable and by lead degree give the
 pairs under the cap: leads that share a variable, and disjoint leads of
 small enough degrees; no other pair is looked at.  It skips S-pairs of
 two monomials, and it applies Buchberger's product criterion: coprime
@@ -43,8 +43,19 @@ leads whose leading coefficients are both units need no S-pair and give
 no GCD-pair.  Over Z the criterion is sound only with unit coefficients
 (Lichtblau 2012).  Disjoint pairs of unit leads, and the pairs of a
 monomial of leading coefficient 1 with every other monomial, are counted
-by popcount, not visited.  ``groebner_witness`` returns the first pair
-whose normal form is nonzero, which ``is_groebner`` reduces to a bool.
+by popcount, not visited.  ``basis_witness`` returns the first pair whose
+normal form is nonzero; it sweeps only a basis the ranks do not certify.
+
+The ranks certify a homogeneous basis G whose leads are all 1 (the
+Hilbert-function test, Kreuzer and Robbiano 2005, section 5.2, over Z).
+Reduction by G writes each degree-d polynomial over the standard
+monomials S_d, so Z^{S_d} maps onto R_d / <G>_d; if ``graded_rank_oracle``
+over G gives that quotient free rank |S_d|, the kernel has rank 0 in a
+free group, hence is 0, and every element of <G>_d, each S-pair of lcm
+degree d included, reduces to 0.  An empty S_d passes at once.  The test
+stops at the cap, at the largest lcm degree of a pair, or after as many
+empty levels in a row as the largest weight, which leave every higher
+level empty.  A failed degree leaves the verdict to the sweep.
 
 When every leading coefficient is 1 (a flag kept as elements are
 added), the reducer of a term c*m is the first candidate whose lead
@@ -838,19 +849,37 @@ def buchberger(table: VariableTable, gens, degree_cap: int) -> GroebnerBasis:
 def basis_witness(basis: GroebnerBasis,
                   degree_cap: int) -> GroebnerWitness | None:
     """The first S- or GCD-pair of ``basis`` below the cap with a nonzero
-    normal form; the basis is swept, not changed."""
-    return PairSweep(basis, degree_cap).witness()
+    normal form; the basis is not changed.  A homogeneous basis whose
+    leads are all 1 is tested by its free ranks first (module docstring),
+    and its pairs are swept only when a degree fails; a failed degree with
+    no failing pair is an ``AssertionError``."""
+    table = basis.table
+    gap = None
+    if basis._unit and all(map(table.is_homogeneous, basis.elements)):
+        # a pair's lcm degree is at most the sum of its two lead degrees
+        top = min(degree_cap, sum(sorted(basis._deg)[-2:]))
+        run, empty, d = max(table.weights, default=1), 0, 0
+        while gap is None and d <= top and empty < run:
+            size = len(basis.standard_monomials(d))
+            rank = graded_rank_oracle(table, basis.elements, d)[0] if size else 0
+            empty = 0 if size else empty + 1
+            if rank != size:
+                gap = d, size, rank
+            d += 1
+        if gap is None:
+            return None
+    witness = PairSweep(basis, degree_cap).witness()
+    if witness is None and gap is not None:
+        raise AssertionError("the rank test fails at degree {} ({} standard "
+                             "monomials, free rank {}) but no pair "
+                             "does".format(*gap))
+    return witness
 
 
 def groebner_witness(table: VariableTable, polys,
                      degree_cap: int) -> GroebnerWitness | None:
     """The first S- or GCD-pair below the cap with a nonzero normal form."""
     return basis_witness(GroebnerBasis(table, polys), degree_cap)
-
-
-def is_groebner(table: VariableTable, polys, degree_cap: int) -> bool:
-    """Do all S- and GCD-pairs reduce to zero below the degree cap?"""
-    return groebner_witness(table, polys, degree_cap) is None
 
 
 # -- SNF rank oracle --------------------------------------------------------

@@ -10,7 +10,9 @@ nested set, weighted by its size.
 Three independent routes compute the graded ranks: the escalier of the
 distinguished generating set ``alpha`` (verified to be a strong Groebner
 basis), an SNF rank oracle run on the raw relations, and the count of
-admissible-monomial basis elements.  They are required to agree.
+admissible-monomial basis elements.  They are required to agree.  The
+oracle over alpha, not over the relations, certifies alpha with unit
+leads; the pair sweep runs only where that fails or cannot decide.
 """
 
 from __future__ import annotations
@@ -363,6 +365,7 @@ class ModelPresentation:
         return dedup
 
     def verify_alpha(self) -> bool:
+        """Is alpha a strong Groebner basis up to the cap?  Decided once."""
         if self._alpha_verified is None:
             self._alpha_witness = basis_witness(self.alpha_reducer(),
                                                 self.degree_cap)
@@ -371,13 +374,13 @@ class ModelPresentation:
 
     def alpha_witness(self) -> GroebnerWitness | None:
         """The first alpha pair with a nonzero normal form, or None: what
-        the one pair sweep of ``verify_alpha`` found."""
+        ``verify_alpha`` found, by a sweep only if the ranks fail."""
         self.verify_alpha()
         return self._alpha_witness
 
     def alpha_reducer(self) -> GroebnerBasis:
-        """The basis of alpha, built once: the pair sweep, the escalier and
-        the restriction map share it and its divisibility memo."""
+        """The basis of alpha, built once: the rank test or the pair sweep,
+        the escalier and the restriction map share it and its memos."""
         if self._alpha_reducer is None:
             self._alpha_reducer = GroebnerBasis(self.table, self.alpha())
         return self._alpha_reducer

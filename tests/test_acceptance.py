@@ -191,7 +191,7 @@ def test_criterion_07_model_betti(model_betti):
 
 def test_criterion_08_groebner_verification(model, model_betti):
     report, _ = model_betti
-    budget = Budget(8, "pair sweep of the distinguished basis at cap 4", 600.0)
+    budget = Budget(8, "Gröbner test of the distinguished basis at cap 4", 600.0)
     assert model.degree_cap == 4
     assert model.verify_alpha()
     assert report.groebner_verified

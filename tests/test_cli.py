@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wondertoric import cli
+from wondertoric import cli, polyring
 from wondertoric.arrangement import name_layers, poset_of_layers
 from wondertoric.presentation import presentation_from_arrangement
 
@@ -469,6 +470,33 @@ def test_low_cap_names_the_monomials_that_do_not_vanish(capsys, data_dir):
     assert "dimension 3 (the degree cap 2 is below dim + 1," in err
     assert err.rstrip().endswith("so alpha is verified only up to degree 2): "
                                  "c7*c1^3, c1^4")
+
+
+def test_cap_far_above_the_dimension_gives_the_ranks(capsys, data_dir):
+    # the rank test of alpha stops where the escalier ends, not at the cap:
+    # a walk over every degree up to 40000 overflows an exponent field
+    code, out, _ = run_cli(capsys, [
+        "model-betti", "--arrangement", fixture_path(data_dir, "a22.arr.json"),
+        "--fan", fixture_path(data_dir, "a22.fan.json"), "--cap", "40000",
+        "--deterministic"])
+    assert code == 0
+    assert json.loads(out)["betti"] == [1, 6, 1]
+
+
+def test_rank_test_failing_where_the_sweep_passes_exits_1(monkeypatch, capsys,
+                                                         data_dir):
+    # only the certificate's oracle is wrong: one rank too many in degree 1
+    oracle = polyring.graded_rank_oracle
+    monkeypatch.setattr(polyring, "graded_rank_oracle", lambda t, gens, d: (
+        oracle(t, gens, d)[0] + (d == 1), ()))
+    code, out, err = run_cli(capsys, [
+        "model-betti", "--arrangement", fixture_path(data_dir, "a22.arr.json"),
+        "--fan", fixture_path(data_dir, "a22.fan.json")])
+    assert code == 1 and not out
+    got = re.fullmatch(r"verification failure: the rank test fails at degree 1 "
+                       r"\((\d+) standard monomials, free rank (\d+)\) but no "
+                       r"pair does\n", err)
+    assert got and int(got[2]) == int(got[1]) + 1
 
 
 @pytest.mark.parametrize("fixture, command, dim", [

@@ -16,7 +16,6 @@ from wondertoric.polyring import (
     buchberger,
     graded_rank_oracle,
     groebner_witness,
-    is_groebner,
 )
 from wondertoric.presentation import presentation_from_arrangement
 
@@ -123,16 +122,16 @@ def test_buchberger_gcd_pair():
 
 def test_single_monomial_is_groebner():
     t = table3()
-    assert is_groebner(t, [t.term(1, mono(t, x=1, y=1))], degree_cap=5)
+    assert groebner_witness(t, [t.term(1, mono(t, x=1, y=1))], degree_cap=5) is None
 
 
 def test_is_groebner_detects_failure():
     t = table3()
     f = t.poly({mono(t, x=1): 1, mono(t, y=1): 1})
     g = t.poly({mono(t, x=1): 1, mono(t, z=1): 1})
-    assert not is_groebner(t, [f, g], degree_cap=3)
+    assert groebner_witness(t, [f, g], degree_cap=3) is not None
     gb = buchberger(t, [f, g], degree_cap=3)
-    assert is_groebner(t, gb.elements, degree_cap=3)
+    assert groebner_witness(t, gb.elements, degree_cap=3) is None
 
 
 def test_projective_line_escalier():
@@ -376,8 +375,11 @@ def test_field_overflow_raises():
 @given(st.lists(polys4, min_size=1, max_size=4))
 def test_pruned_sweep_matches_reference(gens):
     t = table4()
-    # a cap above every lcm degree: the whole sweep, so the criterion holds
-    assert is_groebner(t, gens, 40) == reference_is_groebner(t, gens, 40)
+    # a cap above every lcm degree: the whole sweep, so the criterion holds;
+    # the bare sweep too, which the rank test passes over on unit leads
+    want = reference_is_groebner(t, gens, 40)
+    assert (groebner_witness(t, gens, 40) is None) == want
+    assert (PairSweep(GroebnerBasis(t, gens), 40).witness() is None) == want
 
 
 def field_support(table, m):
@@ -424,7 +426,8 @@ def test_product_criterion_needs_unit_coefficients():
     t = table3()
     z = mono(t, z=1)
     units = [t.poly({mono(t, x=1): 1, z: 1}), t.poly({mono(t, y=1): 1, z: 1})]
-    assert is_groebner(t, units, 2) and reference_is_groebner(t, units, 2)
+    assert groebner_witness(t, units, 2) is None
+    assert reference_is_groebner(t, units, 2)
     twos = [t.poly({mono(t, x=1): 2, z: 1}), t.poly({mono(t, y=1): 3, z: 1})]
     assert not reference_is_groebner(t, twos, 2)
     assert groebner_witness(t, twos, 2) is not None
@@ -450,8 +453,13 @@ def test_pruned_sweep_matches_reference_on_a22():
             # on A(2,2) the minwc closure is every layer, so max repeats it
             variants = [alpha] + [alpha[:k] + alpha[k + 1:]
                                   for k in range(len(alpha))]
-            got = [is_groebner(table, v, cap) for v in variants]
+            # the rank test passes most of them over; the bare sweep must
+            # agree with the reference, and name the pair the test fails on
+            swept = [PairSweep(GroebnerBasis(table, v), cap).witness()
+                     for v in variants]
+            got = [w is None for w in swept]
             assert got == [reference_is_groebner(table, v, cap) for v in variants]
+            assert swept == [groebner_witness(table, v, cap) for v in variants]
             checked[key] = got
         got = checked[key]
         assert len(got) == len(alpha) + 1

@@ -47,6 +47,7 @@ from wondertoric.polyring import (
     Polynomial,
     VariableTable,
     _sparse_quotient,
+    basis_witness,
     buchberger,
     graded_rank_oracle,
     groebner_witness,
@@ -763,6 +764,76 @@ def test_witness_matches_tuple_reducer_on_a_non_unit_alpha():
     assert tuple_witness(table, alpha, cap) is None
     got = groebner_witness(table, broken, cap)
     assert got is not None and got == tuple_witness(table, broken, cap)
+
+
+# -- the rank certificate against the pair sweep -------------------------------
+
+
+def certified_and_swept(table, polys, cap):
+    """``basis_witness`` and the bare sweep, each on a fresh basis."""
+    return (basis_witness(GroebnerBasis(table, polys), cap),
+            PairSweep(GroebnerBasis(table, polys), cap).witness())
+
+
+def test_certificate_matches_the_sweep_on_models(model, monkeypatch):
+    # alpha has unit leads on every bundled model, so the ranks certify it
+    # and no pair is swept
+    table, alpha, cap = model.table, model.alpha(), model.degree_cap
+    swept = PairSweep(GroebnerBasis(table, alpha), cap).witness()
+    monkeypatch.setattr(PairSweep, "witness", None)
+    assert basis_witness(GroebnerBasis(table, alpha), cap) is swept is None
+
+
+def test_certificate_matches_the_sweep_on_a_non_unit_alpha():
+    pres = presentation_from_arrangement(
+        a_n_c(2, 2), relabelled(a22_fan(), (4, 3, 5, 7, 2, 6, 0, 1)))
+    assert not pres.alpha_reducer()._unit
+    got, want = certified_and_swept(pres.table, pres.alpha(), pres.degree_cap)
+    assert got is want is None
+
+
+def a22_alphas():
+    """The A(2,2) alphas under ``min`` and ``minwc``; ``max`` repeats
+    ``minwc``."""
+    for selector in ("min", "minwc"):
+        pres = presentation_from_arrangement(a_n_c(2, 2), a22_fan(),
+                                             selector=selector)
+        yield pres.table, pres.alpha(), pres.degree_cap
+
+
+def tail_changed(table, alpha):
+    """Alpha with one tail coefficient of one element doubled, for every
+    element with a tail."""
+    for k, f in enumerate(alpha):
+        lm, _ = table.leading(f)
+        tail = next((m for m in f.terms if m != lm), None)
+        if tail is not None:
+            g = Polynomial({**f.terms, tail: 2 * f.terms[tail]})
+            yield alpha[:k] + [g] + alpha[k + 1:]
+
+
+def polynomial_added(table, alpha):
+    """Alpha with one homogeneous polynomial added: c_a - c_b for every
+    two toric variables, outside the ideal, and x * f for the first
+    element f and every variable x, inside it."""
+    toric = [table.variable(key) for key in table.keys if key[0] == "c"]
+    for a, b in zip(toric, toric[1:]):
+        yield alpha + [table.poly({a: 1, b: -1})]
+    for p in range(table.n):
+        yield alpha + [alpha[0].mul_term(1, table._vars[p])]
+
+
+@pytest.mark.parametrize("mutate", [tail_changed, polynomial_added])
+def test_certificate_matches_the_sweep_on_broken_alphas(mutate):
+    # dropped elements are in test_pruned_sweep_matches_reference_on_a22
+    failed = 0
+    for table, alpha, cap in a22_alphas():
+        for polys in mutate(table, alpha):
+            assert GroebnerBasis(table, polys)._unit
+            got, want = certified_and_swept(table, polys, cap)
+            assert got == want
+            failed += want is not None
+    assert failed
 
 
 # -- the basis's memoised normal forms against the heap route ----------------
