@@ -22,7 +22,6 @@ from .fan import (
     check_pseudomanifold,
     equal_sign,
     interior_condition,
-    is_smooth,
     make_fan,
     restrict_fan,
 )

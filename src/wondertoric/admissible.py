@@ -240,12 +240,17 @@ def check_recursion(pres, which: str = "AM") -> RecursionReport:
 
 
 def peel_down(pres, which: str = "AM") -> list[RecursionReport]:
-    """Recursion reports for every deletion step down to the empty set."""
+    """Recursion reports for every deletion step down to the empty set.
+    The walk drops each memoised deletion once it has moved past it, so
+    ``pres`` keeps only its own ``delete_last()``, not the whole chain."""
     out = []
     current = pres
     while len(current.building) > 0:
         out.append(check_recursion(current, which))
-        current = current.delete_last()
+        deleted = current.delete_last()
+        if current is not pres:
+            current._deleted = None
+        current = deleted
     return out
 
 

@@ -110,17 +110,6 @@ def make_fan(ambient_rank: int, rays, max_cones) -> Fan:
     return fan
 
 
-def is_smooth(fan: Fan) -> bool:
-    """Every maximal cone simplicial and completable to a lattice basis."""
-    coords = fan.ray_coords()
-    for c in fan.max_cones:
-        mat = [coords[i] for i in sorted(c)]
-        res = snf(mat, cols=fan.lattice.rank)
-        if res.rank != len(c) or any(d != 1 for d in res.invariant_factors):
-            return False
-    return True
-
-
 def check_pseudomanifold(fan: Fan) -> None:
     """Raise ValueError unless every ray lies in a maximal cone, every
     maximal cone has ``lattice.rank`` rays and each of its facets lies in

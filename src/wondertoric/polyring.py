@@ -25,14 +25,17 @@ S-polynomials and GCD-polynomials, with arbitrary-precision integer
 coefficients.  All ideal generators the package feeds in are
 homogeneous, which makes degree-truncated runs sound.
 
-``GroebnerBasis.reduce`` is the one normal form.  Its heap route keeps
-the terms still to reduce in a dict and on a heap, both keyed by the bare
-int -K, so they pop in the monomial order, largest first.  Reducers come
-from a lead-support index, the elements grouped by the support of their
-lead: those whose lead support lies inside a term's support are the
-groups of its sub-masks, memoised per support inside the basis.  They are
-tried in the order they were added, so the reducer chosen, and every
-normal form, is the one a linear scan of the leads would give.
+``GroebnerBasis.reduce`` is the one normal form, and one heap computes
+it: the terms still to reduce sit in a dict and on a heap, both keyed by
+the bare int -K, so they pop in the monomial order, largest first.
+Reducers come from a lead-support index, the elements grouped by the
+support of their lead: those whose lead support lies inside a term's
+support are the groups of its sub-masks, memoised per support inside the
+basis.  They are tried in the order they were added, so the reducer
+chosen, and every normal form, is the one a linear scan of the leads
+would give.  The heap reads parts (shift, multiplier, tail), so the sweep
+writes each pair from the stored tails of its two elements, with no
+``Polynomial`` built.
 
 ``PairSweep`` is the one pair generator behind ``buchberger`` and
 ``basis_witness``.  Bitsets by lead variable and by lead degree give the
@@ -56,23 +59,6 @@ degree d included, reduces to 0.  An empty S_d passes at once.  The test
 stops at the cap, at the largest lcm degree of a pair, or after as many
 empty levels in a row as the largest weight, which leave every higher
 level empty.  A failed degree leaves the verdict to the sweep.
-
-When every leading coefficient is 1 (a flag kept as elements are
-added), the reducer of a term c*m is the first candidate whose lead
-divides m, whatever c is, and it leaves no remainder, so the normal form
-is linear: N(sum c*m) = sum c*N(m).  The basis then memoises N(m) per
-monomial across its reductions, as F4 reuses a reduction across the
-pairs that meet it (Faugere 1999); N(m) = 0 when the first reducer of m
-is a monomial, and that zero is neither walked nor memoised.  On
-running/min the sweep's 2,220 reductions meet 5,887 distinct monomials,
-2,072 of them memoised and 153 of those nonzero, where the heap popped
-57,190 terms.  The memo is dropped when the basis grows, since a new
-lead can make an irreducible monomial reducible, and when ``minimalize``
-writes back a tail.  A basis with a non-unit lead, where reduction
-depends on the size of c and leaves remainders, and where GCD-pairs
-arise, takes the heap route.  Both routes read parts (shift, multiplier,
-tail), so the sweep writes each pair from the stored tails of its two
-elements, with no ``Polynomial`` built.
 
 Two independent routes give graded ranks, and both cost what their output
 costs.  ``GroebnerBasis.standard_monomials`` grows the escalier degree by
@@ -375,10 +361,8 @@ class GroebnerBasis:
         self._var_bits = [0] * table.n
         self._deg_bits: dict[int, int] = {}
         self._unit_bits = self._bare_bits = 0
-        # _unit while every leading coefficient is 1; then _normal holds
-        # N(m) as ((-K, coefficient), ...) per -K(m) for _linear
+        # _unit while every leading coefficient is 1, as the rank test needs
         self._unit = True
-        self._normal: dict[int, tuple[tuple[int, int], ...]] = {}
         # positions -> the escalier levels standard_monomials has grown there
         self._levels: dict[tuple[int, ...], list[set[Monomial]]] = {}
         seen = set()
@@ -419,8 +403,7 @@ class GroebnerBasis:
         for term_mask, found in self._candidates.items():
             if not mask & ~term_mask:
                 found.append(k)
-        # a new lead can make an irreducible monomial reducible
-        self._normal = {}
+        # a new lead can make a standard monomial reducible
         self._levels = {}
 
     def __len__(self):
@@ -450,9 +433,8 @@ class GroebnerBasis:
         return found
 
     def _first_reducer(self, neg: int) -> int:
-        """The first element whose lead divides m = -``neg``, or -1; the
-        reducer of m when every leading coefficient is 1, and what decides
-        whether m is standard."""
+        """The first element whose lead divides m = -``neg``, or -1: m is
+        standard exactly when there is none."""
         guard = self.table._guard
         mask = (neg + self.table._fill) & guard
         candidates = self._candidates.get(mask)
@@ -466,19 +448,15 @@ class GroebnerBasis:
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form: no remaining term is reducible by the basis."""
-        return self._reduce(((0, 1, [(-m, c) for m, c in f.terms.items()]),))
-
-    def _reduce(self, parts) -> Polynomial:
-        """Normal form of the sum of the parts ``(shift, q, tail)``: q times
-        each term c*m of ``tail``, given as (-K(m), c), moved by ``shift``
-        to -K(m) + shift.  The memo route when every leading coefficient is
-        1, else the heap (module docstring)."""
-        return self._linear(parts) if self._unit else self._heap(parts)
+        return self._heap(((0, 1, [(-m, c) for m, c in f.terms.items()]),))
 
     def _heap(self, parts) -> Polynomial:
-        """The dict ``work`` and the heap ``front`` hold the terms still to
-        reduce, keyed by -K, so the largest comes off first.  lead_i divides
-        m when K(lead_i) - K(m) sets no guard bit; it is then -K(m / lead_i).
+        """Normal form of the sum of the parts ``(shift, q, tail)``: q times
+        each term c*m of ``tail``, given as (-K(m), c), moved by ``shift``
+        to -K(m) + shift.  The dict ``work`` and the heap ``front`` hold the
+        terms still to reduce, keyed by -K, so the largest comes off first.
+        lead_i divides m when K(lead_i) - K(m) sets no guard bit; it is then
+        -K(m / lead_i).
         """
         guard, fill = self.table._guard, self.table._fill
         lms, lcs, tails, memo = self._lm, self._lc, self._tails, self._candidates
@@ -525,69 +503,6 @@ class GroebnerBasis:
                     break
         return Polynomial(out)
 
-    def _linear(self, parts) -> Polynomial:
-        """Sum q * c * N(m) over the terms of the parts, every leading
-        coefficient being 1; a term whose first reducer is a monomial adds
-        0 at once."""
-        memo, first, tails = self._normal, self._first_reducer, self._tails
-        out: dict[int, int] = {}
-        for shift, q, tail in parts:
-            for mm, cc in tail:
-                key = mm + shift
-                nf = memo.get(key)
-                if nf is None:
-                    r = first(key)
-                    if r < 0:
-                        nf = memo[key] = ((key, 1),)
-                    elif not tails[r]:
-                        # reduced to 0 by a monomial: not memoised
-                        continue
-                    else:
-                        nf = self._normal_form(key, r)
-                qc = q * cc
-                for m, v in nf:
-                    out[m] = out.get(m, 0) + qc * v
-        # ascending -K: the order in which the heap emits terms
-        return Polynomial({-m: c for m, c in sorted(out.items()) if c})
-
-    def _normal_form(self, neg: int, i: int) -> tuple[tuple[int, int], ...]:
-        """N(m) for m = -``neg`` while every leading coefficient is 1, where
-        i, the first reducer of m, has a tail: -Sum cc * N(t * m / lm_i)
-        over the tail terms cc*t of i.  Tail terms are below the lead, so an
-        explicit stack finishes them first.  A term no lead divides is its
-        own normal form; one whose first reducer is a monomial is 0 and is
-        not stored; every other zero is the one empty tuple.
-        """
-        lms, tails, memo = self._lm, self._tails, self._normal
-        first = self._first_reducer
-        # (top, i): expand top by its reducer i; (top, ~i): its tail terms
-        # are done, so sum them
-        stack = [(neg, i)]
-        while stack:
-            top, i = stack.pop()
-            if i < 0:
-                shift = lms[~i] + top
-                acc: dict[int, int] = {}
-                for mm, cc in tails[~i]:
-                    for m, v in memo.get(mm + shift, ()):
-                        acc[m] = acc.get(m, 0) - cc * v
-                memo[top] = tuple((m, v) for m, v in acc.items() if v)
-                continue
-            if top in memo:
-                continue
-            stack.append((top, ~i))
-            shift = lms[i] + top
-            for mm, _ in tails[i]:
-                t = mm + shift
-                if t in memo:
-                    continue
-                r = first(t)
-                if r < 0:
-                    memo[t] = ((t, 1),)
-                elif tails[r]:
-                    stack.append((t, r))
-        return memo[neg]
-
     def minimalize(self) -> "GroebnerBasis":
         """Drop strongly redundant leads, tail-reduce, canonical sort.
 
@@ -616,8 +531,6 @@ class GroebnerBasis:
             g = lead + basis.reduce(f - lead)
             basis.elements[i] = g
             basis._tails[i] = [(-m, c) for m, c in g.terms.items() if m != lm]
-            # the normal forms the old tail of i gave are stale
-            basis._normal = {}
             if len(g.terms) == 1:
                 basis._bare_bits |= 1 << i
         order = sorted(range(len(basis)), key=basis._lm.__getitem__)
@@ -712,7 +625,7 @@ class PairSweep:
 
     ``reduce`` writes the S- or GCD-pair as parts over the stored tails of
     its two elements, each moved under the lcm, and hands them to the
-    basis, which reduces them by its memo or its heap (module docstring).
+    basis's heap (module docstring).
     """
 
     def __init__(self, basis: GroebnerBasis, degree_cap: int):
@@ -800,13 +713,13 @@ class PairSweep:
             # the leads cancel: c_j/g times the tail of i less c_i/g times
             # the tail of j, g = gcd(c_i, c_j)
             g = gcd(c_i, c_j)
-            return b._reduce(((lms[i] + neg_lcm, c_j // g, tails[i]),
-                              (lms[j] + neg_lcm, -(c_i // g), tails[j])))
+            return b._heap(((lms[i] + neg_lcm, c_j // g, tails[i]),
+                            (lms[j] + neg_lcm, -(c_i // g), tails[j])))
         # x*c_i + y*c_j = g: x*f_i + y*f_j under the lcm, led by g*lcm
         g, x, y = _ext_gcd(c_i, c_j)
-        return b._reduce(((neg_lcm, g, ((0, 1),)),
-                          (lms[i] + neg_lcm, x, tails[i]),
-                          (lms[j] + neg_lcm, y, tails[j])))
+        return b._heap(((neg_lcm, g, ((0, 1),)),
+                        (lms[i] + neg_lcm, x, tails[i]),
+                        (lms[j] + neg_lcm, y, tails[j])))
 
     def witness(self) -> GroebnerWitness | None:
         """The first pair whose normal form is nonzero, or None."""

@@ -380,7 +380,8 @@ class ModelPresentation:
 
     def alpha_reducer(self) -> GroebnerBasis:
         """The basis of alpha, built once: the rank test or the pair sweep,
-        the escalier and the restriction map share it and its memos."""
+        the escalier and the restriction map share it, its escalier levels
+        and its reducer lists."""
         if self._alpha_reducer is None:
             self._alpha_reducer = GroebnerBasis(self.table, self.alpha())
         return self._alpha_reducer

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -146,6 +148,18 @@ def test_peel_down_a22():
         reports = admissible.peel_down(pres22, which)
         assert len(reports) == 4
         assert all(r.ok for r in reports)
+
+
+def test_peel_down_releases_the_deletions_it_has_passed():
+    # the model keeps its own deletion, but the walk drops the second one
+    # once it has moved past it
+    pres22 = presentation_from_arrangement(a_n_c(2, 2), a22_fan(), selector="max")
+    first = pres22.delete_last()
+    second = weakref.ref(first.delete_last())
+    assert len(admissible.peel_down(pres22)) == 4
+    gc.collect()
+    assert pres22.delete_last() is first
+    assert second() is None
 
 
 def test_flag_decomposition_unit_meet(pres):

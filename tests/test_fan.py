@@ -10,7 +10,6 @@ from wondertoric.fan import (
     check_pseudomanifold,
     equal_sign,
     interior_condition,
-    is_smooth,
     make_fan,
     restrict_fan,
 )
@@ -37,23 +36,27 @@ def named():
 def test_running_fan_smooth(fan):
     assert fan.nrays == 14
     assert len(fan.max_cones) == 24
-    assert is_smooth(fan)
+    check_fan(fan)
 
 
 def test_a22_fan_smooth():
-    f = a22_fan()
-    assert is_smooth(f)
-    check_fan(f)
+    check_fan(a22_fan())
 
 
 def test_non_smooth_cone():
-    # rays (3,2,3) and (0,1,0) span a cone that is not part of any basis
-    f = make_fan(3, [(3, 2, 3), (0, 1, 0)], [frozenset({0, 1})])
-    assert not is_smooth(f)
+    # the fan of the weighted projective space P(1, 1, 2, 1): complete,
+    # since e1 + e2 + 2*e3 + (-1, -1, -2) = 0, but the cone of e1, e2 and
+    # (-1, -1, -2) has determinant 2
+    f = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)],
+                 [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    check_pseudomanifold(f)
+    with pytest.raises(ValueError, match=r"maximal cone \[0, 1, 3\] is not smooth"):
+        check_fan(f)
 
 
 def test_single_ray_fan_smooth():
-    assert is_smooth(make_fan(2, [(1, 0)], [frozenset({0})]))
+    # the fan of the projective line: two opposite rays, each a maximal cone
+    check_fan(make_fan(1, [(1,), (-1,)], [frozenset({0}), frozenset({1})]))
 
 
 def test_restrict_to_c(fan, named):
@@ -61,7 +64,7 @@ def test_restrict_to_c(fan, named):
     assert set(sub.rays) == {(3, 2, 3), (-3, -2, -3)}
     assert all(len(c) == 1 for c in sub.max_cones)
     assert len(sub.max_cones) == 2
-    assert is_smooth(sub)
+    check_fan(sub)
 
 
 def test_restrict_to_point_is_trivial(fan, named):
@@ -74,7 +77,7 @@ def test_restrict_to_a(fan, named):
     sub = restrict_fan(fan, named["a"].lattice)
     assert set(sub.rays) == {(0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)}
     assert len(sub.max_cones) == 4
-    assert is_smooth(sub)
+    check_fan(sub)
     # idempotent under repeated restriction
     again = restrict_fan(sub, named["a"].lattice)
     assert set(again.rays) == set(sub.rays)
@@ -85,7 +88,7 @@ def test_restrict_smooth_for_all_layers(fan, named):
     for name, layer in named.items():
         if name == "0":
             continue
-        assert is_smooth(restrict_fan(fan, layer.lattice)), name
+        check_fan(restrict_fan(fan, layer.lattice))
 
 
 def test_minimal_nonfaces_running(fan):
@@ -149,7 +152,6 @@ def test_check_fan_rejects_a_fold():
     # smooth and a pseudomanifold, but (1, 1) folds back over the cone of
     # (1, 0) and (0, 1): its two cones on facet [1] lie on one side of it
     fold = make_fan(2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [1, 2], [2, 0]])
-    assert is_smooth(fold)
     check_pseudomanifold(fold)
     with pytest.raises(ValueError, match=r"the maximal cones on facet \[1\] "
                        "lie on one side of it"):
@@ -158,7 +160,6 @@ def test_check_fan_rejects_a_fold():
 
 def test_check_fan_rejects_a_fan_that_winds_twice():
     winding = make_fan(2, *WINDING_TWO)
-    assert is_smooth(winding)
     check_pseudomanifold(winding)
     with pytest.raises(ValueError, match=r"the point \[1, 2\] lies in 2 maximal "
                        r"cones \[\[0, 1\], \[5, 6\]\]: the fan is not complete"):

@@ -16,12 +16,11 @@ order, the same rank and torsion, and the same basis, term for term.
 
 ``TupleReducer`` is the reducer on dense exponent tuples that the packed
 monomials replaced; the packed ``GroebnerBasis.reduce`` must give the
-same normal forms, by either of its routes.  While every leading
-coefficient is 1 the basis memoises the normal form of each monomial;
-its reference, ``heap_reduce``, takes the heap route whatever the leads.
+same normal forms, whether the leading coefficients are all 1 or not.
 ``PairSweep.reduce`` writes each pair from the stored tails; its
 reference, ``heap_pair_reduce``, builds the pair's polynomial with
-``s_polynomial`` or ``gcd_polynomial`` and reduces it by the heap.
+``s_polynomial`` or ``gcd_polynomial`` and reduces it with
+``GroebnerBasis.reduce``.
 
 The sweep's reducer lists come from an index of lead supports, and
 ``pairs_with`` counts by popcount the disjoint pairs of unit leads and,
@@ -437,27 +436,15 @@ def test_buchberger_matches_reference_minimalize_on_restricted_bases(
     assert got == want
 
 
-def test_minimalize_reduces_each_tail_with_a_fresh_memo(monkeypatch):
-    # x > y > z > w, unit leads.  x + y reduces its tail to -z and memoises
-    # N(y) = -z; the write-back of x - z drops that memo, so each tail
-    # reduction starts empty
+def test_minimalize_reduces_each_tail_on_unit_leads():
+    # x > y > z > w, unit leads.  x + y reduces its tail to -z by y + z;
+    # the other two tails are reduced already
     t = VariableTable("xyzw", (1,) * 4, "xyzw")
     x, y, z, w = (t.variable(v) for v in "xyzw")
     basis = GroebnerBasis(t, [t.poly({x: 1, y: 1}), t.poly({y: 1, z: 1}),
                               t.poly({t.mono_mul(z, w): 1, t.mono_mul(w, w): 1})])
-    memos = []
-    reduce = GroebnerBasis.reduce
-
-    def spy(b, f):
-        before = len(b._normal)
-        nf = reduce(b, f)
-        memos.append((before, len(b._normal)))
-        return nf
-
-    monkeypatch.setattr(GroebnerBasis, "reduce", spy)
     got = basis.minimalize()
     assert [t.poly_name(f) for f in got.elements] == ["y+z", "x-z", "z*w+w^2"]
-    assert memos == [(0, 2), (0, 1), (0, 1)]
     assert term_lists(got) == term_lists(reference_minimalize(basis))
 
 
@@ -657,11 +644,6 @@ def pair_polynomial(basis, pair):
     return make(basis.table, basis.elements[i], basis.elements[j])
 
 
-def heap_reduce(basis, f):
-    """``basis.reduce(f)`` by the heap route, whatever the leads."""
-    return basis._heap(((0, 1, [(-m, c) for m, c in f.terms.items()]),))
-
-
 def unit_leads(basis, unit=None):
     """The basis with the leading coefficients flagged in ``unit`` (by
     default all of them) set to 1."""
@@ -708,14 +690,12 @@ def bases_and_polys(draw):
 @settings(max_examples=200, deadline=None)
 @given(bases_and_polys())
 def test_reduce_matches_tuple_reducer_on_weighted_tables(basis_poly):
-    # by the heap route, and by the memo on the basis with unit leads
+    # on the basis and on it with every leading coefficient set to 1
     basis, f = basis_poly
     unit = unit_leads(basis)
     assert unit._unit
     for b in (basis, unit):
-        got = b.reduce(f)
-        assert got == TupleReducer(b).reduce(f)
-        assert list(got.terms.items()) == list(heap_reduce(b, f).terms.items())
+        assert b.reduce(f) == TupleReducer(b).reduce(f)
 
 
 def tuple_witness(table, polys, cap):
@@ -748,9 +728,9 @@ def test_witness_matches_tuple_reducer_on_broken_alpha(running):
 
 
 def test_witness_matches_tuple_reducer_on_a_non_unit_alpha():
-    # with the A(2,2) rays in this order alpha has the lead 2*c2*c1, so its
-    # pairs, written from the stored tails, take the heap route; whole it
-    # is a Groebner basis, and less its first toric linear form the first
+    # with the A(2,2) rays in this order alpha has the lead 2*c2*c1, so the
+    # ranks do not certify it and its pairs are swept; whole it is a
+    # Groebner basis, and less its first toric linear form the first
     # failing pair is the one the tuple reducer finds
     pres = presentation_from_arrangement(
         a_n_c(2, 2), relabelled(a22_fan(), (4, 3, 5, 7, 2, 6, 0, 1)))
@@ -836,18 +816,51 @@ def test_certificate_matches_the_sweep_on_broken_alphas(mutate):
     assert failed
 
 
-# -- the basis's memoised normal forms against the heap route ----------------
+@st.composite
+def unit_lead_inputs(draw):
+    """Homogeneous polynomials over a weighted table of 1 to 4 variables
+    of weights 1 to 3, each of its own degree from 1 to 4 with leading
+    coefficient 1, and a degree cap from 0 to 8."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    names = [f"v{i}" for i in range(n)]
+    table = VariableTable(names, weights, names)
+    coeffs = st.integers(-3, 3).filter(bool)
+    polys = []
+    for _ in range(draw(st.integers(0, 5))):
+        monomials = table.monomials_of_degree(draw(st.integers(1, 4)))
+        if not monomials:
+            continue
+        terms = draw(st.dictionaries(st.sampled_from(monomials), coeffs,
+                                     min_size=1, max_size=3))
+        terms[max(terms)] = 1
+        polys.append(Polynomial(terms))
+    return table, polys, draw(st.integers(0, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_lead_inputs())
+def test_certificate_matches_the_sweep_on_weighted_tables(inputs):
+    # weights above 1 exercise the stop after as many empty levels in a
+    # row as the largest weight, which the bundled models barely reach
+    table, polys, cap = inputs
+    assert GroebnerBasis(table, polys)._unit
+    got, want = certified_and_swept(table, polys, cap)
+    assert got == want
+
+
+# -- pairs written from the stored tails against their polynomials -----------
 
 
 def heap_pair_reduce(sweep, pair):
     """The reference for ``PairSweep.reduce``: build the pair's polynomial
-    and reduce it by the heap route."""
-    return heap_reduce(sweep.basis, pair_polynomial(sweep.basis, pair))
+    and reduce it by ``GroebnerBasis.reduce``."""
+    return sweep.basis.reduce(pair_polynomial(sweep.basis, pair))
 
 
 def assert_pairs_match_heap(basis, cap):
-    """Every pair of the sweep reduces to the heap's normal form, term for
-    term; returns how many of them are nonzero."""
+    """Every pair of the sweep reduces to the normal form of its
+    polynomial, term for term; returns how many of them are nonzero."""
     sweep = PairSweep(basis, cap)
     nonzero = 0
     for j in range(len(basis)):
@@ -873,8 +886,7 @@ def test_pair_reduce_matches_heap_on_models(model):
 @st.composite
 def sweep_bases(draw):
     """A weighted basis, half the time with every leading coefficient set
-    to 1 (the memo route), else with some of them set to 1, and a degree
-    cap from 0 to 8."""
+    to 1, else with some of them set to 1, and a degree cap from 0 to 8."""
     basis, _ = draw(weighted_bases())
     n = len(basis)
     unit = None if draw(st.booleans()) else draw(
@@ -886,17 +898,6 @@ def sweep_bases(draw):
 @given(sweep_bases())
 def test_pair_reduce_matches_heap_on_weighted_tables(basis_cap):
     assert_pairs_match_heap(*basis_cap)
-
-
-def test_sweep_memoises_no_monomial_zero(model):
-    # a term whose first reducer is a monomial reduces to 0 at once; only
-    # the other normal forms are kept
-    basis = GroebnerBasis(model.table, model.alpha())
-    assert PairSweep(basis, model.degree_cap).witness() is None
-    assert basis._normal
-    for key in basis._normal:
-        first = basis._first_reducer(key)
-        assert first < 0 or basis._tails[first], key
 
 
 # -- the lead-support index and the bulk pair counts against scans ------------
@@ -1060,31 +1061,18 @@ def test_disjoint_pair_with_a_non_unit_lead_is_reduced():
     assert assert_pairs_match_visits(basis, 4)["criterion"] == 0
 
 
-def test_buchberger_forgets_normal_forms_when_the_basis_grows(monkeypatch):
-    # x > y > z.  The first S-pair reduces to x*z - 2*z^2, whose lead its
-    # reduction memoised as irreducible; the next pair, of the same degree,
-    # meets x*z again, which the new element reduces.  Later the lead 5*z^3
-    # sends the basis to the heap route
+def test_buchberger_reduces_by_the_elements_it_adds(monkeypatch):
+    # x > y > z.  The first S-pair reduces to x*z - 2*z^2, whose lead is
+    # irreducible before it joins the basis; the next pair, of the same
+    # degree, meets x*z again, which the new element reduces.  Later the
+    # lead 5*z^3 is not a unit
     t = VariableTable("xyz", (1,) * 3, "xyz")
     x, y, z = (t.variable(v) for v in "xyz")
     m = t.mono_mul
     gens = [t.poly({m(x, x): 1, m(x, z): 1, m(z, z): -1}),
             t.poly({m(x, x): 1, m(z, z): 1}),
             t.poly({m(x, x): 1, m(x, y): -1, m(z, z): -1})]
-    changed = []
-    append = GroebnerBasis._append
-
-    def spy(basis, f):
-        memo = basis._normal
-        append(basis, f)
-        assert not basis._normal
-        changed.extend(
-            key for key, nf in memo.items()
-            if heap_reduce(basis, Polynomial({-key: 1})).terms != {-m: c for m, c in nf})
-
-    monkeypatch.setattr(GroebnerBasis, "_append", spy)
     basis = buchberger(t, gens, 4)
-    assert changed
     assert [t.poly_name(f) for f in basis.elements] == [
         "x*z-2*z^2", "x*y+2*z^2", "x^2+z^2", "5*z^3", "y*z^2-4*z^3"]
     got = term_lists(basis)
