@@ -217,14 +217,20 @@ def _poly_add(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _generating_function(which: str):
+    if which not in ("AM", "B"):
+        raise ValueError(f"recursion kind must be 'AM' or 'B', not {which!r}")
+    return am_generating_function if which == "AM" else b_generating_function
+
+
 def check_recursion(pres, which: str = "AM") -> RecursionReport:
     """Deletion-contraction identity for the generating function.
 
     Both sides are enumerated independently: the left on the model, the
     right on the deleted model plus (y + ... + y^(d-1)) times the
-    contracted one, d the rank of the last member.
+    contracted one, d the rank of the last member; ``which`` is AM or B.
     """
-    gen = am_generating_function if which == "AM" else b_generating_function
+    gen = _generating_function(which)
     last = pres.building.last
     d = pres.poset.rank(last)
     lhs = gen(pres)
@@ -243,6 +249,7 @@ def peel_down(pres, which: str = "AM") -> list[RecursionReport]:
     """Recursion reports for every deletion step down to the empty set.
     The walk drops each memoised deletion once it has moved past it, so
     ``pres`` keeps only its own ``delete_last()``, not the whole chain."""
+    _generating_function(which)
     out = []
     current = pres
     while len(current.building) > 0:

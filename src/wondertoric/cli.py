@@ -208,6 +208,8 @@ def run(argv=None) -> int:
 
 
 def _dispatch(args, warnings) -> dict:
+    if args.cap is not None and args.cap < 0:
+        raise InputError(f"--cap must be nonnegative, got {args.cap}")
     arrangement = parse_arrangement(args.arrangement, warnings)
     poset = poset_of_layers(arrangement)
     names = name_layers(arrangement, poset)

@@ -37,13 +37,14 @@ would give.  The heap reads parts (shift, multiplier, tail), so the sweep
 writes each pair from the stored tails of its two elements, with no
 ``Polynomial`` built.
 
-``PairSweep`` is the one pair generator behind ``buchberger`` and
-``basis_witness``.  Bitsets by lead variable and by lead degree give the
-pairs under the cap: leads that share a variable, and disjoint leads of
-small enough degrees; no other pair is looked at.  It skips S-pairs of
-two monomials, and it applies Buchberger's product criterion: coprime
-leads whose leading coefficients are both units need no S-pair and give
-no GCD-pair.  Over Z the criterion is sound only with unit coefficients
+``PairSweep``, the one pair generator behind ``buchberger`` and
+``basis_witness``, owns the pair index, bitsets it fills as it reaches
+each element.  By lead variable and by lead degree they give the pairs
+under the cap: leads that share a variable, and disjoint leads of small
+enough degrees; no other pair is looked at.  It skips S-pairs of two
+monomials, and it applies Buchberger's product criterion: coprime leads
+whose leading coefficients are both units need no S-pair and give no
+GCD-pair.  Over Z the criterion is sound only with unit coefficients
 (Lichtblau 2012).  Disjoint pairs of unit leads, and the pairs of a
 monomial of leading coefficient 1 with every other monomial, are counted
 by popcount, not visited.  ``basis_witness`` returns the first pair whose
@@ -328,7 +329,8 @@ def _normalize_sign(table: VariableTable, f: Polynomial) -> Polynomial:
 
 
 class GroebnerBasis:
-    """A reducer set over Z with cached leading data.
+    """A reducer set over Z: the elements, sign-normalised, without zeros or
+    repeats, and what ``reduce`` and ``standard_monomials`` read of them.
 
     Reduction is coefficient-aware: a generator applies to a term when its
     leading monomial divides the term's and its (positive) leading
@@ -342,10 +344,6 @@ class GroebnerBasis:
         self.elements: list[Polynomial] = []
         self._lm: list[Monomial] = []
         self._lc: list[int] = []
-        # support mask, degree and (position, exponent) pairs of each lead
-        self._mask: list[int] = []
-        self._deg: list[int] = []
-        self._support: list[list[tuple[int, int]]] = []
         # (negated monomial, coefficient) of each non-lead term
         self._tails: list[list[tuple[int, int]]] = []
         # lead support index: support mask -> the elements whose lead has
@@ -355,14 +353,6 @@ class GroebnerBasis:
         # int above 256 made afresh costs 32 bytes per list entry)
         self._by_support: dict[int, list[int]] = {}
         self._candidates: dict[int, list[int]] = {}
-        # bit i of _var_bits[p] is set when the lead of element i uses
-        # variable p, of _deg_bits[d] when it has degree d, of _unit_bits
-        # when its leading coefficient is 1, of _bare_bits when it has no tail
-        self._var_bits = [0] * table.n
-        self._deg_bits: dict[int, int] = {}
-        self._unit_bits = self._bare_bits = 0
-        # _unit while every leading coefficient is 1, as the rank test needs
-        self._unit = True
         # positions -> the escalier levels standard_monomials has grown there
         self._levels: dict[tuple[int, ...], list[set[Monomial]]] = {}
         seen = set()
@@ -381,25 +371,11 @@ class GroebnerBasis:
         lm, lc = table.leading(f)
         k = len(self.elements)
         mask = table.mono_mask(lm)
-        support = table.support(lm)
         self.elements.append(f)
         self._lm.append(lm)
         self._lc.append(lc)
-        self._mask.append(mask)
-        deg = table.mono_degree(lm)
-        self._deg.append(deg)
-        self._deg_bits[deg] = self._deg_bits.get(deg, 0) | 1 << k
-        self._support.append(support)
         self._tails.append([(-m, c) for m, c in f.terms.items() if m != lm])
         self._by_support.setdefault(mask, []).append(k)
-        for p, _ in support:
-            self._var_bits[p] |= 1 << k
-        if lc == 1:
-            self._unit_bits |= 1 << k
-        else:
-            self._unit = False
-        if len(f.terms) == 1:
-            self._bare_bits |= 1 << k
         for term_mask, found in self._candidates.items():
             if not mask & ~term_mask:
                 found.append(k)
@@ -531,8 +507,6 @@ class GroebnerBasis:
             g = lead + basis.reduce(f - lead)
             basis.elements[i] = g
             basis._tails[i] = [(-m, c) for m, c in g.terms.items() if m != lm]
-            if len(g.terms) == 1:
-                basis._bare_bits |= 1 << i
         order = sorted(range(len(basis)), key=basis._lm.__getitem__)
         return GroebnerBasis(self.table, [basis.elements[i] for i in order])
 
@@ -622,6 +596,10 @@ class PairSweep:
     did.  A pair goes to the first case that takes it, in the order
     monomial with c_j = 1, over the cap, monomial, criterion: so a pair of
     two monomials with c_j = 1 counts as ``monomial`` even above the cap.
+    Its pair index: bitsets of the elements by lead variable, by lead
+    degree, with leading coefficient 1 and with no tail; ``pairs_with(j)``
+    first adds the elements below j it lacks, so j may come in any order,
+    on a basis that grows between the calls.
 
     ``reduce`` writes the S- or GCD-pair as parts over the stored tails of
     its two elements, each moved under the lcm, and hands them to the
@@ -633,23 +611,38 @@ class PairSweep:
         self.degree_cap = degree_cap
         self.counts = dict.fromkeys(
             ("pairs", "over_cap", "monomial", "criterion", "reduced"), 0)
+        # the pair index (class docstring) of the elements below _indexed
+        self._var_bits = [0] * basis.table.n
+        self._deg_bits: dict[int, int] = {}
+        self._indexed = self._unit_bits = self._bare_bits = 0
 
     def pairs_with(self, j: int) -> list[tuple[int, int, int, str]]:
         """``(lcm degree, i, j, kind)`` for the pairs of j that need work."""
         b = self.basis
-        weights, cap = b.table.weights, self.degree_cap
-        lcs, masks, degs, tails = b._lc, b._mask, b._deg, b._tails
-        lm_j = b.table.exponents(b._lm[j])
-        c_j, mask_j, deg_j = lcs[j], masks[j], degs[j]
+        table, cap = b.table, self.degree_cap
+        weights, lms, lcs, tails = table.weights, b._lm, b._lc, b._tails
+        var_bits, deg_bits = self._var_bits, self._deg_bits
+        # the elements below j join the index first, if not yet in it
+        for k in range(self._indexed, j):
+            bit, d = 1 << k, table.mono_degree(lms[k])
+            for p, _ in table.support(lms[k]):
+                var_bits[p] |= bit
+            deg_bits[d] = deg_bits.get(d, 0) | bit
+            self._unit_bits |= (lcs[k] == 1) << k
+            self._bare_bits |= (not tails[k]) << k
+        self._indexed = max(self._indexed, j)
+        shift, fill, top = table._shift, table._fill, table.max_degree
+        neg_j, c_j, mask_j = -lms[j], lcs[j], table.mono_mask(lms[j])
+        deg_j = table.mono_degree(lms[j])
         # a pair is under the cap only if the leads share a variable or
         # their degrees add up to at most the cap, and then the lcm degree
         # of a disjoint pair is that sum; the others are not visited
         below = (1 << j) - 1
         share = disjoint = 0
-        for p, _ in b._support[j]:
-            share |= b._var_bits[p]
+        for p, _ in table.support(lms[j]):
+            share |= var_bits[p]
         share &= below
-        for d, bits in b._deg_bits.items():
+        for d, bits in deg_bits.items():
             if d + deg_j <= cap:
                 disjoint |= bits
         disjoint &= below & ~share
@@ -659,11 +652,11 @@ class PairSweep:
             # zero S-pair, and c_i % 1 == 0 gives no GCD-pair), whatever
             # the lcm degree; then the disjoint unit leads, the criterion
             if not tails[j]:
-                bare = below & b._bare_bits
+                bare = below & self._bare_bits
                 monomial = bare.bit_count()
                 share &= ~bare
                 disjoint &= ~bare
-            units = disjoint & b._unit_bits
+            units = disjoint & self._unit_bits
             disjoint ^= units
             criterion = units.bit_count()
         near = share | disjoint
@@ -673,13 +666,16 @@ class PairSweep:
             low = near & -near
             near ^= low
             i = low.bit_length() - 1
-            deg = degs[i] + deg_j
-            common = masks[i] & mask_j
-            if common:
-                for p, e in b._support[i]:
-                    f = lm_j[p]
-                    if f:
-                        deg -= weights[p] * (e if e < f else f)
+            # deg_i + deg_j (neg >> shift is -deg) less the gcd's degree
+            neg_i = -lms[i]
+            deg = deg_j - (neg_i >> shift)
+            common = shared = (fill + neg_i) & mask_j
+            while shared:
+                guard = shared & -shared
+                shared ^= guard
+                s = guard.bit_length() - FIELD_BITS
+                e, f = neg_i >> s & top, neg_j >> s & top
+                deg -= weights[s // FIELD_BITS] * (e if e < f else f)
             if deg > cap:
                 continue
             over -= 1
@@ -763,14 +759,15 @@ def basis_witness(basis: GroebnerBasis,
                   degree_cap: int) -> GroebnerWitness | None:
     """The first S- or GCD-pair of ``basis`` below the cap with a nonzero
     normal form; the basis is not changed.  A homogeneous basis whose
-    leads are all 1 is tested by its free ranks first (module docstring),
-    and its pairs are swept only when a degree fails; a failed degree with
-    no failing pair is an ``AssertionError``."""
+    leading coefficients are all 1 is tested by its free ranks first
+    (module docstring), and its pairs are swept only when a degree fails;
+    a failed degree with no failing pair is an ``AssertionError``."""
     table = basis.table
     gap = None
-    if basis._unit and all(map(table.is_homogeneous, basis.elements)):
+    if (all(c == 1 for c in basis._lc)
+            and all(map(table.is_homogeneous, basis.elements))):
         # a pair's lcm degree is at most the sum of its two lead degrees
-        top = min(degree_cap, sum(sorted(basis._deg)[-2:]))
+        top = min(degree_cap, sum(sorted(map(table.mono_degree, basis._lm))[-2:]))
         run, empty, d = max(table.weights, default=1), 0, 0
         while gap is None and d <= top and empty < run:
             size = len(basis.standard_monomials(d))

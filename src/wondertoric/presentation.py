@@ -354,15 +354,8 @@ class ModelPresentation:
             tmono = self.table.variable(("t", label))
             for b in gb.elements:
                 out.append(b.mul_term(1, tmono))
-        seen = set()
-        dedup = []
-        for f in out:
-            h = frozenset(f.terms.items())
-            if h not in seen and f:
-                seen.add(h)
-                dedup.append(f)
-        self._alpha = dedup
-        return dedup
+        self._alpha = out
+        return out
 
     def verify_alpha(self) -> bool:
         """Is alpha a strong Groebner basis up to the cap?  Decided once."""

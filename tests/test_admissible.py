@@ -162,6 +162,15 @@ def test_peel_down_releases_the_deletions_it_has_passed():
     assert second() is None
 
 
+@pytest.mark.parametrize("walk", [admissible.check_recursion, admissible.peel_down])
+def test_unknown_recursion_kind_is_a_value_error(pres, walk):
+    # "am" used to be computed with the B generating function; peel_down
+    # rejects it before its first step
+    p, _ = pres
+    with pytest.raises(ValueError, match="recursion kind must be 'AM' or 'B', not 'am'"):
+        walk(p, "am")
+
+
 def test_flag_decomposition_unit_meet(pres):
     p, named = pres
     table = p.table

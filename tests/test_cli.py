@@ -472,6 +472,17 @@ def test_low_cap_names_the_monomials_that_do_not_vanish(capsys, data_dir):
                                  "c7*c1^3, c1^4")
 
 
+@pytest.mark.parametrize("cap, code", [("-1", 2), ("0", 1)])
+def test_negative_cap_is_an_input_error(capsys, data_dir, cap, code):
+    # a cap of 0 is still a cap below the dimension: a verification failure
+    got, out, err = run_cli(capsys, [
+        "model-betti", "--arrangement", fixture_path(data_dir, "a22.arr.json"),
+        "--fan", fixture_path(data_dir, "a22.fan.json"), "--cap", cap])
+    assert (got, out) == (code, "")
+    assert (err == "input error: --cap must be nonnegative, got -1\n"
+            if code == 2 else err.startswith("verification failure: "))
+
+
 def test_cap_far_above_the_dimension_gives_the_ranks(capsys, data_dir):
     # the rank test of alpha stops where the escalier ends, not at the cap:
     # a walk over every degree up to 40000 overflows an exponent field

@@ -34,13 +34,9 @@ def named():
 
 
 def test_running_fan_smooth(fan):
+    # check_fan runs in test_complete_fans_are_pseudomanifolds
     assert fan.nrays == 14
     assert len(fan.max_cones) == 24
-    check_fan(fan)
-
-
-def test_a22_fan_smooth():
-    check_fan(a22_fan())
 
 
 def test_non_smooth_cone():
@@ -82,13 +78,6 @@ def test_restrict_to_a(fan, named):
     again = restrict_fan(sub, named["a"].lattice)
     assert set(again.rays) == set(sub.rays)
     assert len(again.max_cones) == len(sub.max_cones)
-
-
-def test_restrict_smooth_for_all_layers(fan, named):
-    for name, layer in named.items():
-        if name == "0":
-            continue
-        check_fan(restrict_fan(fan, layer.lattice))
 
 
 def test_minimal_nonfaces_running(fan):

@@ -25,8 +25,8 @@ reference, ``heap_pair_reduce``, builds the pair's polynomial with
 The sweep's reducer lists come from an index of lead supports, and
 ``pairs_with`` counts by popcount the disjoint pairs of unit leads and,
 for a monomial of leading coefficient 1, its pairs with every monomial:
-``scan_candidates`` finds the reducers by a scan of the variables, and
-``visiting_pairs_with`` visits every pair.
+``scan_candidates`` finds the reducers by a scan of the leads, and
+``visiting_pairs_with`` visits every pair, with a pair index of its own.
 """
 
 from heapq import heapify, heappop, heappush
@@ -675,7 +675,7 @@ def test_reduce_matches_tuple_reducer_on_alpha_pairs(running):
     reference = TupleReducer(basis)
     pairs = [f for _, f in alpha_pairs(basis, pres.degree_cap)]
     assert len(pairs) == reductions
-    assert basis._unit
+    assert all(c == 1 for c in basis._lc)
     for f in pairs:
         assert not basis.reduce(f)
         assert not reference.reduce(f)
@@ -693,7 +693,7 @@ def test_reduce_matches_tuple_reducer_on_weighted_tables(basis_poly):
     # on the basis and on it with every leading coefficient set to 1
     basis, f = basis_poly
     unit = unit_leads(basis)
-    assert unit._unit
+    assert all(c == 1 for c in unit._lc)
     for b in (basis, unit):
         assert b.reduce(f) == TupleReducer(b).reduce(f)
 
@@ -739,7 +739,7 @@ def test_witness_matches_tuple_reducer_on_a_non_unit_alpha():
     broken = [f for f in alpha if f != dropped]
     assert len(broken) == len(alpha) - 1
     for polys in (alpha, broken):
-        assert not GroebnerBasis(table, polys)._unit
+        assert not all(c == 1 for c in GroebnerBasis(table, polys)._lc)
     assert groebner_witness(table, alpha, cap) is None
     assert tuple_witness(table, alpha, cap) is None
     got = groebner_witness(table, broken, cap)
@@ -767,7 +767,7 @@ def test_certificate_matches_the_sweep_on_models(model, monkeypatch):
 def test_certificate_matches_the_sweep_on_a_non_unit_alpha():
     pres = presentation_from_arrangement(
         a_n_c(2, 2), relabelled(a22_fan(), (4, 3, 5, 7, 2, 6, 0, 1)))
-    assert not pres.alpha_reducer()._unit
+    assert not all(c == 1 for c in pres.alpha_reducer()._lc)
     got, want = certified_and_swept(pres.table, pres.alpha(), pres.degree_cap)
     assert got is want is None
 
@@ -809,7 +809,7 @@ def test_certificate_matches_the_sweep_on_broken_alphas(mutate):
     failed = 0
     for table, alpha, cap in a22_alphas():
         for polys in mutate(table, alpha):
-            assert GroebnerBasis(table, polys)._unit
+            assert all(c == 1 for c in GroebnerBasis(table, polys)._lc)
             got, want = certified_and_swept(table, polys, cap)
             assert got == want
             failed += want is not None
@@ -844,7 +844,7 @@ def test_certificate_matches_the_sweep_on_weighted_tables(inputs):
     # weights above 1 exercise the stop after as many empty levels in a
     # row as the largest weight, which the bundled models barely reach
     table, polys, cap = inputs
-    assert GroebnerBasis(table, polys)._unit
+    assert all(c == 1 for c in GroebnerBasis(table, polys)._lc)
     got, want = certified_and_swept(table, polys, cap)
     assert got == want
 
@@ -903,38 +903,49 @@ def test_pair_reduce_matches_heap_on_weighted_tables(basis_cap):
 # -- the lead-support index and the bulk pair counts against scans ------------
 
 
-def scan_candidates(basis, term_mask):
+def lead_masks(basis):
+    """The support mask of each lead, computed from ``_lm``."""
+    return [basis.table.mono_mask(lm) for lm in basis._lm]
+
+
+def scan_candidates(leads, term_mask):
     """The elements whose lead support lies in ``term_mask``, by a scan of
-    the variables: every element whose lead uses no variable outside it."""
-    absent = 0
-    for guard, users in zip(basis.table._guards, basis._var_bits):
-        if not term_mask & guard:
-            absent |= users
-    bits = ((1 << len(basis)) - 1) ^ absent
-    found = []
-    while bits:
-        low = bits & -bits
-        found.append(low.bit_length() - 1)
-        bits ^= low
-    return found
+    the ``lead_masks``: every element whose mask lies inside it."""
+    return [i for i, mask in enumerate(leads) if not mask & ~term_mask]
 
 
-def visiting_pairs_with(sweep, j):
+def lead_index(basis):
+    """The exponents and degree of each lead, and bitsets of the elements
+    by lead variable and by lead degree, built from the leads alone."""
+    table = basis.table
+    exps = [table.exponents(lm) for lm in basis._lm]
+    degs = [table.mono_degree(lm) for lm in basis._lm]
+    var_bits, deg_bits = [0] * table.n, {}
+    for i, (lead, d) in enumerate(zip(exps, degs)):
+        for p, e in enumerate(lead):
+            if e:
+                var_bits[p] |= 1 << i
+        deg_bits[d] = deg_bits.get(d, 0) | 1 << i
+    return exps, degs, var_bits, deg_bits
+
+
+def visiting_pairs_with(sweep, j, index):
     """``pairs_with(j)`` and its counts, visiting every pair: with c_j = 1,
     a pair of two monomials is a monomial pair at any lcm degree; else a
     pair counts as visited when its leads share a variable or their
     degrees add up to at most the cap (the others are over it), and then
     the lcm degree, the monomial case and the criterion decide, pair by
-    pair."""
+    pair.  ``index`` is ``lead_index`` of the sweep's basis."""
     b = sweep.basis
     weights, cap = b.table.weights, sweep.degree_cap
-    lcs, masks, degs, tails = b._lc, b._mask, b._deg, b._tails
-    lm_j = b.table.exponents(b._lm[j])
-    c_j, mask_j, deg_j = lcs[j], masks[j], degs[j]
+    lcs, tails = b._lc, b._tails
+    exps, degs, var_bits, deg_bits = index
+    c_j, deg_j = lcs[j], degs[j]
     near = 0
-    for p, _ in b._support[j]:
-        near |= b._var_bits[p]
-    for d, bits in b._deg_bits.items():
+    for p, e in enumerate(exps[j]):
+        if e:
+            near |= var_bits[p]
+    for d, bits in deg_bits.items():
         if d + deg_j <= cap:
             near |= bits
     counts = {"pairs": j, "over_cap": j, "monomial": 0, "criterion": 0}
@@ -946,11 +957,9 @@ def visiting_pairs_with(sweep, j):
             continue
         if not near >> i & 1:
             continue
-        deg = degs[i] + deg_j
-        common = masks[i] & mask_j
-        if common:
-            for p, e in b._support[i]:
-                deg -= weights[p] * min(e, lm_j[p])
+        gcd_exps = [min(e, f) for e, f in zip(exps[i], exps[j])]
+        deg = degs[i] + deg_j - sum(map(mul, weights, gcd_exps))
+        common = any(gcd_exps)
         if deg > cap:
             continue
         counts["over_cap"] -= 1
@@ -970,10 +979,10 @@ def visiting_pairs_with(sweep, j):
 def assert_pairs_match_visits(basis, cap):
     """Every ``pairs_with(j)`` lists the visited pairs, in order, and the
     sweep's counts are the visits' totals."""
-    sweep = PairSweep(basis, cap)
+    sweep, index = PairSweep(basis, cap), lead_index(basis)
     totals = dict.fromkeys(("pairs", "over_cap", "monomial", "criterion"), 0)
     for j in range(len(basis)):
-        want, counts = visiting_pairs_with(sweep, j)
+        want, counts = visiting_pairs_with(sweep, j, index)
         assert sweep.pairs_with(j) == want, j
         for key, n in counts.items():
             totals[key] += n
@@ -986,8 +995,9 @@ def test_candidates_match_variable_scan_on_models(model):
     assert PairSweep(basis, model.degree_cap).witness() is None
     fresh = GroebnerBasis(model.table, model.alpha())
     assert len(basis._candidates) > 40
+    leads = lead_masks(basis)
     for mask, found in basis._candidates.items():
-        want = scan_candidates(basis, mask)
+        want = scan_candidates(leads, mask)
         assert found == want and fresh._candidates_for(mask) == want, mask
 
 
@@ -1014,12 +1024,14 @@ def indexed_bases(draw):
 @given(indexed_bases())
 def test_candidates_match_variable_scan_on_weighted_tables(basis_masks):
     basis, masks = basis_masks
+    leads = lead_masks(basis)
     for mask in masks:
-        assert basis._candidates_for(mask) == scan_candidates(basis, mask), mask
+        assert basis._candidates_for(mask) == scan_candidates(leads, mask), mask
     # the memo follows the basis as it grows
     basis._append(basis.table.term(1, basis.table.encode((1,) * basis.table.n)))
+    leads = lead_masks(basis)
     for mask in masks:
-        assert basis._candidates[mask] == scan_candidates(basis, mask), mask
+        assert basis._candidates[mask] == scan_candidates(leads, mask), mask
 
 
 def test_candidates_include_a_constant_lead():
@@ -1037,6 +1049,42 @@ def test_candidates_include_a_constant_lead():
 @given(sweep_bases())
 def test_pairs_match_visits_on_weighted_tables(basis_cap):
     assert_pairs_match_visits(*basis_cap)
+
+
+def pairs_in_order(basis, cap, order):
+    """``pairs_with(j)`` of one fresh sweep for each j of ``order``, by j."""
+    sweep = PairSweep(basis, cap)
+    pairs = {j: sweep.pairs_with(j) for j in order}
+    return [pairs[j] for j in range(len(basis))], sweep.counts
+
+
+def test_pairs_out_of_order_match_pairs_in_order_on_models(model):
+    # the sweep indexes the elements below j on the first pairs_with(j)
+    basis = GroebnerBasis(model.table, model.alpha())
+    n, cap = len(basis), model.degree_cap
+    order = [(k * 7919 + 3) % n for k in range(n)]
+    assert sorted(order) == list(range(n)) and order[0] > 0
+    assert pairs_in_order(basis, cap, order) == pairs_in_order(basis, cap, range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_bases(), st.data())
+def test_pairs_out_of_order_match_pairs_in_order_on_weighted_tables(basis_cap, data):
+    # and on a basis that grows between the calls, as in buchberger
+    basis, cap = basis_cap
+    n = len(basis)
+    want = pairs_in_order(basis, cap, range(n))
+    k = data.draw(st.integers(0, n))
+    grown = GroebnerBasis(basis.table, basis.elements[:k])
+    sweep = PairSweep(grown, cap)
+    pairs = {}
+    for part in (range(k), range(k, n)):
+        for j in part:
+            if j >= len(grown):
+                grown._append(basis.elements[j])
+        for j in data.draw(st.permutations(part)):
+            pairs[j] = sweep.pairs_with(j)
+    assert ([pairs[j] for j in range(n)], sweep.counts) == want
 
 
 def test_gcd_pair_from_the_tails_matches_heap():
