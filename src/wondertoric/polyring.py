@@ -69,9 +69,10 @@ Z their count is the free rank, and torsion is the oracle's to find.
 The basis keeps the levels it has grown, per set of positions, until it
 grows itself, so asking for degree d + 1 after degree d costs one level.
 ``graded_rank_oracle`` works modulo the unit-coefficient monomial
-generators, drops the columns of single-unit rows at once, eliminates the
-remaining unit entries in Markowitz order off a heap, and hands what is
-left to a dense Smith normal form.
+generators and keeps one copy of each nonempty row: about half the
+products g * m vanish modulo those generators.  The rows go, shortest first, into a reduced
+echelon form with unit pivots, and what has no unit entry left goes to a
+dense Smith normal form.
 """
 
 from __future__ import annotations
@@ -798,84 +799,76 @@ def groebner_witness(table: VariableTable, polys,
 def _sparse_quotient(rows: list[dict], ncols: int) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion of Z^ncols modulo the row span.
 
-    A row that is a single unit entry puts e_c in the row span, so column c
-    is dropped from every row at once and counted as contracted; rows left
-    empty go.  The other unit pivots are contracted in Markowitz order: a
-    heap holds ``(cost, row, column)`` for the entries of value ±1, with
-    cost ``(row length - 1) * (column length - 1)``.  An entry is checked
-    when it comes off the heap: it is dropped if its row is gone or the
-    entry is no longer a unit, and pushed back if its cost has risen.  A
-    row changed by an elimination pushes its unit entries again.  Anything
-    left without a unit entry goes through a dense Smith normal form.
+    The rows go, shortest first, into a reduced echelon form with unit
+    pivots: ``tails`` maps each pivot column c to its row less the entry 1
+    at c, and no row has an entry in another row's pivot column.  An
+    incoming row is reduced by the pivots; if it has an entry ±1, it
+    pivots on the unit column that the fewest pivot rows contain, and that
+    column is cleared from them.  A row with no unit entry waits, and the
+    waiting rows are inserted again until a round adds no pivot.  Each
+    pivot row identifies its column with the rest of the row, so the
+    quotient is Z^(other columns) modulo the rows still waiting, which a
+    dense Smith normal form reads, torsion included.  A single-unit row
+    sorts first and clears its column from every later row.  The caller's
+    rows are not changed.
     """
-    units = {c for r in rows if len(r) == 1
-             for c, v in r.items() if v == 1 or v == -1}
-    rows = [{c: v for c, v in r.items() if c not in units} for r in rows]
-    rows = [r for r in rows if r]
-    col_rows: dict[int, set[int]] = {}
-    for ridx, r in enumerate(rows):
-        for c in r:
-            col_rows.setdefault(c, set()).add(ridx)
-    alive = set(range(len(rows)))
-    contracted = len(units)
+    tails: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}  # column -> pivots whose tail holds it
 
-    def unit_entries(ridx: int):
-        r = rows[ridx]
-        size = len(r) - 1
-        return [(size * (len(col_rows[c]) - 1), ridx, c)
-                for c, v in r.items() if v == 1 or v == -1]
+    def reduced(row: dict) -> dict:
+        r = dict(row)
+        for c in [c for c in row if c in tails]:
+            q = r.pop(c)
+            for cc, v in tails[c].items():
+                nv = r.get(cc, 0) - q * v
+                if nv:
+                    r[cc] = nv
+                else:
+                    del r[cc]
+        return r
 
-    heap = [entry for ridx in alive for entry in unit_entries(ridx)]
-    heapify(heap)
-
-    def row_sub(dst: int, src: int, q: int):
-        rd, rs = rows[dst], rows[src]
-        for c, v in rs.items():
-            nv = rd.get(c, 0) - q * v
-            if nv:
-                if c not in rd:
-                    col_rows.setdefault(c, set()).add(dst)
-                rd[c] = nv
-            elif c in rd:
-                del rd[c]
-                col_rows[c].discard(dst)
-        for entry in unit_entries(dst):
-            heappush(heap, entry)
-
-    while heap:
-        cost, ridx, c = heappop(heap)
-        if ridx not in alive:
-            continue
-        q0 = rows[ridx].get(c)
-        if q0 != 1 and q0 != -1:
-            continue
-        now = (len(rows[ridx]) - 1) * (len(col_rows[c]) - 1)
-        if now > cost:
-            heappush(heap, (now, ridx, c))
-            continue
-        if q0 < 0:
-            rows[ridx] = {cc: -vv for cc, vv in rows[ridx].items()}
-        for other in list(col_rows[c]):
-            if other != ridx:
-                row_sub(other, ridx, rows[other][c])
-        for cc in rows[ridx]:
-            col_rows[cc].discard(ridx)
-        alive.discard(ridx)
-        col_rows.pop(c)
-        contracted += 1
-
-    residual_rows = [rows[r] for r in alive if rows[r]]
-    if not residual_rows:
-        return ncols - contracted, ()
-    res_cols = sorted({c for r in residual_rows for c in r})
+    waiting, grew = sorted(filter(None, rows), key=len), True
+    while grew:
+        grew, left = False, []
+        for row in waiting:
+            r = reduced(row)
+            units = [c for c, v in r.items() if v == 1 or v == -1]
+            if not units:
+                if r:
+                    left.append(r)
+                continue
+            c = min(units, key=lambda c: len(holders.get(c, ())))
+            if r.pop(c) == -1:
+                r = {cc: -v for cc, v in r.items()}
+            for p in holders.pop(c, ()):
+                tail = tails[p]
+                q = tail.pop(c)
+                for cc, v in r.items():
+                    nv = tail.get(cc, 0) - q * v
+                    if nv:
+                        if cc not in tail:
+                            holders.setdefault(cc, set()).add(p)
+                        tail[cc] = nv
+                    elif cc in tail:
+                        del tail[cc]
+                        holders[cc].discard(p)
+            tails[c] = r
+            for cc in r:
+                holders.setdefault(cc, set()).add(c)
+            grew = True
+        waiting = left
+    free = ncols - len(tails)
+    if not waiting:
+        return free, ()
+    res_cols = sorted({c for r in waiting for c in r})
     cidx = {c: k for k, c in enumerate(res_cols)}
-    dense = [[0] * len(res_cols) for _ in residual_rows]
-    for k, r in enumerate(residual_rows):
+    dense = [[0] * len(res_cols) for _ in waiting]
+    for k, r in enumerate(waiting):
         for c, v in r.items():
             dense[k][cidx[c]] = v
     res = snf(dense)
     torsion = tuple(d for d in res.invariant_factors if d != 1)
-    return ncols - contracted - res.rank, torsion
+    return free - res.rank, torsion
 
 
 def graded_rank_oracle(table: VariableTable, gens, d: int) -> tuple[int, tuple[int, ...]]:
@@ -885,7 +878,8 @@ def graded_rank_oracle(table: VariableTable, gens, d: int) -> tuple[int, tuple[i
     the columns are the degree-d monomials outside M, from the oracle's own
     walk, apart from the Groebner route (m is outside M when it is no
     generator and every m/x_q is), and the rows the other generators times
-    them, with their terms in M dropped.
+    them, with their terms in M dropped; a row left empty, or equal to an
+    earlier one, is not handed on.
     """
     if d < 0:
         return 0, ()
@@ -913,12 +907,15 @@ def graded_rank_oracle(table: VariableTable, gens, d: int) -> tuple[int, tuple[i
                     level[mp] = p
         levels.append(level)
     cols = {m: i for i, m in enumerate(levels[d])}
-    rows = []
+    rows: dict[frozenset, dict[int, int]] = {}
     for g in others:
         gd = table.degree(g)
         if gd > d:
             continue
+        terms = g.terms.items()
         for m in levels[d - gd]:
-            rows.append({cols[mm + m]: cc for mm, cc in g.terms.items()
-                         if mm + m in cols})
-    return _sparse_quotient(rows, len(cols))
+            row = {k: cc for mm, cc in terms
+                   if (k := cols.get(mm + m)) is not None}
+            if row:
+                rows.setdefault(frozenset(row.items()), row)
+    return _sparse_quotient(list(rows.values()), len(cols))

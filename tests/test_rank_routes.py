@@ -9,8 +9,8 @@ cost, another takes every pivot, single-unit rows included, off a heap;
 the full-column oracle has a column for every degree-d monomial and a row
 for every generator times monomial; ``minimalize`` rebuilds a basis for
 every element whose tail it reduces.  The library grows the escalier
-level by level, drops the columns of single-unit rows before its heap
-elimination, runs the oracle modulo the unit monomial generators, and
+level by level, inserts distinct nonempty rows into an echelon form with
+unit pivots, runs the oracle modulo the unit monomial generators, and
 tail-reduces in one basis; it must give the same monomials, in the same
 order, the same rank and torsion, and the same basis, term for term.
 
@@ -400,14 +400,58 @@ def test_restricted_escaliers_match_reference(model):
                     == reference_standard_monomials(gb, d, positions)), (layer, d)
 
 
-def test_oracle_matches_reference_on_models(model, monkeypatch):
-    table, gens = model.table, model.toric() + model.relations().all()
-    got = [graded_rank_oracle(table, gens, d) for d in range(model.dim + 1)]
+def assert_oracle_matches_references(table, gens, degrees, monkeypatch):
+    got = [graded_rank_oracle(table, gens, d) for d in degrees]
     for reference in (reference_sparse_quotient, reference_heap_quotient):
-        monkeypatch.setattr(polyring, "_sparse_quotient", reference)
-        want = [graded_rank_oracle(table, gens, d) for d in range(model.dim + 1)]
+        with monkeypatch.context() as m:
+            m.setattr(polyring, "_sparse_quotient", reference)
+            want = [graded_rank_oracle(table, gens, d) for d in degrees]
         assert got == want, reference.__name__
+    return got
+
+
+def test_oracle_matches_reference_on_models(model, monkeypatch):
+    got = assert_oracle_matches_references(
+        model.table, model.toric() + model.relations().all(),
+        range(model.dim + 1), monkeypatch)
     assert all(torsion == () for _, torsion in got)
+
+
+def test_oracle_over_alpha_matches_reference_on_models(model, monkeypatch):
+    """The matrices the rank certificate reads, up to degree dim + 1."""
+    got = assert_oracle_matches_references(
+        model.table, model.alpha(), range(model.dim + 2), monkeypatch)
+    assert got[-1] == (0, ())
+
+
+def test_oracle_over_contracted_alpha_matches_reference(monkeypatch):
+    """The contracted alpha that ``restriction_map_check`` certifies."""
+    pres = presentation_from_arrangement(running_arrangement(), running_fan(),
+                                         selector="max")
+    contracted = pres.contract_last()
+    got = assert_oracle_matches_references(
+        contracted.table, contracted.alpha_reducer().elements,
+        range(contracted.dim + 2), monkeypatch)
+    assert got[-1] == (0, ())
+
+
+# degree 3 of running/min has 1,389 products g * m over alpha and 861 over
+# the relations, m outside M; 679 and 425 of them vanish modulo M, and 75
+# and 23 of the others repeat an earlier row
+@pytest.mark.parametrize("over, distinct", [("alpha", 635), ("relations", 413)])
+def test_oracle_hands_over_distinct_nonempty_rows(over, distinct, monkeypatch):
+    pres = presentation_from_arrangement(running_arrangement(), running_fan(),
+                                         selector="min")
+    gens = (pres.alpha() if over == "alpha"
+            else pres.toric() + pres.relations().all())
+    handed = []
+    monkeypatch.setattr(polyring, "_sparse_quotient",
+                        lambda rows, ncols: handed.append(rows) or (0, ()))
+    graded_rank_oracle(pres.table, gens, 3)
+    (rows,) = handed
+    assert len(rows) == distinct
+    assert all(rows)
+    assert len({frozenset(r.items()) for r in rows}) == distinct
 
 
 # the full-column reference lists every monomial of the degree; above this
@@ -1164,6 +1208,29 @@ def test_sparse_quotient_matches_references(rows_ncols):
     assert got == dense_quotient(rows, ncols)
 
 
+@st.composite
+def unit_heavy_matrices(draw):
+    """Up to 16 rows over up to 12 columns, entries mostly ±1, sometimes
+    ±2 or 3: new pivots fill earlier rows and give waiting rows units.
+    Also a permutation of the rows."""
+    ncols = draw(st.integers(1, 12))
+    entries = st.sampled_from((1, -1) * 4 + (2, -2, 3))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entries,
+                                         max_size=ncols), max_size=16))
+    return rows, ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_heavy_matrices())
+def test_sparse_quotient_matches_dense_on_unit_heavy_matrices(inputs):
+    rows, ncols, permuted = inputs
+    before = [dict(r) for r in rows]
+    got = _sparse_quotient(rows, ncols)
+    assert rows == before
+    assert got == dense_quotient(rows, ncols)
+    assert _sparse_quotient(permuted, ncols) == got
+
+
 @pytest.mark.parametrize("rows, ncols, expected", [
     ([{0: 2}], 1, (0, (2,))),
     ([{}, {0: 2}, {}], 2, (1, (2,))),
@@ -1175,6 +1242,9 @@ def test_sparse_quotient_matches_references(rows_ncols):
     ([{0: 1}, {0: 1}, {0: 1, 1: 3}], 2, (0, (3,))),
     ([{1: -1}, {0: 2, 1: 5}], 2, (0, (2,))),
     ([{0: 1}, {0: 2, 1: 2}], 2, (0, (2,))),
+    # a waiting row gains a unit; a new pivot is cleared from an earlier one
+    ([{0: 2, 1: 3}, {1: 1, 0: 1}], 2, (0, ())),
+    ([{0: 1, 1: 1}, {1: 1, 2: 2}, {2: 2, 3: 4}], 4, (1, (2,))),
 ])
 def test_sparse_quotient_torsion(rows, ncols, expected):
     assert _sparse_quotient(rows, ncols) == expected
