@@ -207,6 +207,8 @@ class ToricArrangement:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.ambient_rank < 0:
+            raise ValueError(f"ambient_rank must be nonnegative, not {self.ambient_rank}")
         for k in self.subtori:
             if k.ambient_rank != self.ambient_rank:
                 raise ValueError("subtorus ambient rank mismatch")

@@ -301,6 +301,9 @@ def _dispatch(args, warnings) -> dict:
         }
 
     # verify
+    if not building.members:
+        raise InputError("the building set is empty, so verify has no last "
+                         "member to delete and contract")
     groebner_ok = pres.verify_alpha()
     rec = {w: admissible.check_recursion(pres, w) for w in ("AM", "B")}
     refinements = linear_refinements(poset, building.members, 3)

@@ -86,6 +86,8 @@ class Fan:
 
 
 def make_fan(ambient_rank: int, rays, max_cones) -> Fan:
+    if ambient_rank < 0:
+        raise ValueError(f"ambient_rank must be nonnegative, not {ambient_rank}")
     rays = tuple(tuple(map(int, r)) for r in rays)
     for r in rays:
         if len(r) != ambient_rank:

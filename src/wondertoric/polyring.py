@@ -38,17 +38,14 @@ writes each pair from the stored tails of its two elements, with no
 ``Polynomial`` built.
 
 ``PairSweep``, the one pair generator behind ``buchberger`` and
-``basis_witness``, owns the pair index, bitsets it fills as it reaches
-each element.  By lead variable and by lead degree they give the pairs
-under the cap: leads that share a variable, and disjoint leads of small
-enough degrees; no other pair is looked at.  It skips S-pairs of two
-monomials, and it applies Buchberger's product criterion: coprime leads
-whose leading coefficients are both units need no S-pair and give no
-GCD-pair.  Over Z the criterion is sound only with unit coefficients
-(Lichtblau 2012).  Disjoint pairs of unit leads, and the pairs of a
-monomial of leading coefficient 1 with every other monomial, are counted
-by popcount, not visited.  ``basis_witness`` returns the first pair whose
-normal form is nonzero; it sweeps only a basis the ranks do not certify.
+``basis_witness``, meets the pairs (i, j), i < j, in one loop over i and
+takes each lcm degree from the exponent fields the two leads share.  It
+skips S-pairs of two monomials and pairs above the cap, and it applies
+Buchberger's product criterion: coprime leads whose leading coefficients
+are both units need no S-pair and give no GCD-pair.  Over Z the criterion
+is sound only with unit coefficients (Lichtblau 2012).  ``basis_witness``
+returns the first pair whose normal form is nonzero; it sweeps only a
+basis the ranks do not certify.
 
 The ranks certify a homogeneous basis G whose leads are all 1 (the
 Hilbert-function test, Kreuzer and Robbiano 2005, section 5.2, over Z).
@@ -588,19 +585,15 @@ class PairSweep:
     product criterion: when the two leads are coprime and both leading
     coefficients are units, the S-polynomial has a standard representation
     over the pair itself, and no GCD-pair arises.  Over Z the criterion
-    needs the unit coefficients (Lichtblau 2012).  So when c_j is 1, two
-    kinds of pair are counted by popcount: if j is a monomial, its pairs
-    with every monomial i, which need no work whatever their lcm degree;
-    then the disjoint pairs of unit leads under the cap.  The other pairs
-    are visited in ascending i.  ``counts`` holds how many pairs were met,
-    how many of them fell in each case, and how many reductions ``reduce``
-    did.  A pair goes to the first case that takes it, in the order
-    monomial with c_j = 1, over the cap, monomial, criterion: so a pair of
-    two monomials with c_j = 1 counts as ``monomial`` even above the cap.
-    Its pair index: bitsets of the elements by lead variable, by lead
-    degree, with leading coefficient 1 and with no tail; ``pairs_with(j)``
-    first adds the elements below j it lacks, so j may come in any order,
-    on a basis that grows between the calls.
+    needs the unit coefficients (Lichtblau 2012).  The pairs of j are met
+    in one loop over ascending i, and ``counts`` holds how many pairs were
+    met, how many of them fell in each case, and how many reductions
+    ``reduce`` did.  A pair goes to the first case that takes it, in the
+    order monomial with c_j = 1 (counted before its lcm is formed), over
+    the cap, monomial, criterion: so a pair of two monomials with c_j = 1
+    counts as ``monomial`` even above the cap.  ``pairs_with(j)`` reads
+    only the elements up to j, so j may come in any order, on a basis that
+    grows between the calls.
 
     ``reduce`` writes the S- or GCD-pair as parts over the stored tails of
     its two elements, each moved under the lcm, and hands them to the
@@ -612,61 +605,24 @@ class PairSweep:
         self.degree_cap = degree_cap
         self.counts = dict.fromkeys(
             ("pairs", "over_cap", "monomial", "criterion", "reduced"), 0)
-        # the pair index (class docstring) of the elements below _indexed
-        self._var_bits = [0] * basis.table.n
-        self._deg_bits: dict[int, int] = {}
-        self._indexed = self._unit_bits = self._bare_bits = 0
 
     def pairs_with(self, j: int) -> list[tuple[int, int, int, str]]:
         """``(lcm degree, i, j, kind)`` for the pairs of j that need work."""
         b = self.basis
         table, cap = b.table, self.degree_cap
         weights, lms, lcs, tails = table.weights, b._lm, b._lc, b._tails
-        var_bits, deg_bits = self._var_bits, self._deg_bits
-        # the elements below j join the index first, if not yet in it
-        for k in range(self._indexed, j):
-            bit, d = 1 << k, table.mono_degree(lms[k])
-            for p, _ in table.support(lms[k]):
-                var_bits[p] |= bit
-            deg_bits[d] = deg_bits.get(d, 0) | bit
-            self._unit_bits |= (lcs[k] == 1) << k
-            self._bare_bits |= (not tails[k]) << k
-        self._indexed = max(self._indexed, j)
         shift, fill, top = table._shift, table._fill, table.max_degree
         neg_j, c_j, mask_j = -lms[j], lcs[j], table.mono_mask(lms[j])
-        deg_j = table.mono_degree(lms[j])
-        # a pair is under the cap only if the leads share a variable or
-        # their degrees add up to at most the cap, and then the lcm degree
-        # of a disjoint pair is that sum; the others are not visited
-        below = (1 << j) - 1
-        share = disjoint = 0
-        for p, _ in table.support(lms[j]):
-            share |= var_bits[p]
-        share &= below
-        for d, bits in deg_bits.items():
-            if d + deg_j <= cap:
-                disjoint |= bits
-        disjoint &= below & ~share
-        monomial = criterion = 0
-        if c_j == 1:
-            # counted, not visited: with a monomial j, every monomial i (a
-            # zero S-pair, and c_i % 1 == 0 gives no GCD-pair), whatever
-            # the lcm degree; then the disjoint unit leads, the criterion
-            if not tails[j]:
-                bare = below & self._bare_bits
-                monomial = bare.bit_count()
-                share &= ~bare
-                disjoint &= ~bare
-            units = disjoint & self._unit_bits
-            disjoint ^= units
-            criterion = units.bit_count()
-        near = share | disjoint
+        deg_j, bare_j = table.mono_degree(lms[j]), not tails[j]
         out = []
-        over = j - monomial - criterion
-        while near:
-            low = near & -near
-            near ^= low
-            i = low.bit_length() - 1
+        over = monomial = criterion = 0
+        for i in range(j):
+            bare = bare_j and not tails[i]
+            if bare and c_j == 1:
+                # a zero S-pair, and c_i % 1 == 0 gives no GCD-pair, whatever
+                # the lcm degree
+                monomial += 1
+                continue
             # deg_i + deg_j (neg >> shift is -deg) less the gcd's degree
             neg_i = -lms[i]
             deg = deg_j - (neg_i >> shift)
@@ -678,10 +634,10 @@ class PairSweep:
                 e, f = neg_i >> s & top, neg_j >> s & top
                 deg -= weights[s // FIELD_BITS] * (e if e < f else f)
             if deg > cap:
+                over += 1
                 continue
-            over -= 1
             c_i = lcs[i]
-            if not tails[j] and not tails[i]:
+            if bare:
                 monomial += 1
             elif not common and c_i == 1 and c_j == 1:
                 criterion += 1

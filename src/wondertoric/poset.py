@@ -219,6 +219,8 @@ class BuildingSet:
 
     @property
     def last(self):
+        if not self.order:
+            raise ValueError("the building set is empty: it has no last member")
         return self.order[-1]
 
 

@@ -483,6 +483,44 @@ def test_negative_cap_is_an_input_error(capsys, data_dir, cap, code):
             if code == 2 else err.startswith("verification failure: "))
 
 
+def test_verify_with_an_empty_building_set_is_an_input_error(tmp_path, capsys,
+                                                             data_dir):
+    # once an IndexError traceback: the recursions delete the last member
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"ambient_rank": 2, "subtori": []}))
+    code, out, err = run_cli(capsys, [
+        "verify", "--arrangement", str(path),
+        "--fan", fixture_path(data_dir, "a22.fan.json")])
+    assert (code, out) == (2, "")
+    assert err == ("input error: the building set is empty, so verify has no "
+                   "last member to delete and contract\n")
+
+
+@pytest.mark.parametrize("negative, command", [
+    ("arrangement", "poset"), ("arrangement", "toric-betti"),
+    ("arrangement", "model-betti"), ("fan", "toric-betti"),
+    ("fan", "model-betti")])
+def test_negative_ambient_rank_is_an_input_error(tmp_path, capsys, command,
+                                                 negative):
+    # once exit 0; rank 0, a point, stays valid
+    files = {"arrangement": {"ambient_rank": 0, "subtori": []},
+             "fan": {"ambient_rank": 0, "rays": [], "max_cones": []}}
+    argv = [command]
+    for name in files:
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+
+    def run_with(ranks):
+        for (name, data), rank in zip(files.items(), ranks):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({**data, "ambient_rank": rank}))
+        return run_cli(capsys, argv)
+
+    assert run_with((0, 0))[0] == 0
+    code, out, err = run_with((-1, 0) if negative == "arrangement" else (0, -1))
+    assert (code, out) == (2, "")
+    assert err == "input error: ambient_rank must be nonnegative, not -1\n"
+
+
 def test_cap_far_above_the_dimension_gives_the_ranks(capsys, data_dir):
     # the rank test of alpha stops where the escalier ends, not at the cap:
     # a walk over every degree up to 40000 overflows an exponent field

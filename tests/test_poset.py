@@ -245,6 +245,16 @@ def test_deletion_single_divisor():
     assert not gd.members
 
 
+def test_empty_building_set_has_no_last_member():
+    # once an IndexError from the empty order
+    p = RankedPoset(["0", "H"], {"0": 0, "H": 1}, [("0", "H")])
+    g = make_building_set(p, frozenset(), ())
+    with pytest.raises(ValueError, match="the building set is empty"):
+        g.last
+    with pytest.raises(ValueError, match="the building set is empty"):
+        deletion(p, g)
+
+
 def test_default_order_refines_opposite(running):
     p, named, rev, g = running
     order = default_order(p, g.members)

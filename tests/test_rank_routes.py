@@ -23,10 +23,10 @@ reference, ``heap_pair_reduce``, builds the pair's polynomial with
 ``GroebnerBasis.reduce``.
 
 The sweep's reducer lists come from an index of lead supports, and
-``pairs_with`` counts by popcount the disjoint pairs of unit leads and,
-for a monomial of leading coefficient 1, its pairs with every monomial:
-``scan_candidates`` finds the reducers by a scan of the leads, and
-``visiting_pairs_with`` visits every pair, with a pair index of its own.
+``pairs_with`` takes each lcm degree from the packed exponent fields the
+two leads share: ``scan_candidates`` finds the reducers by a scan of the
+leads, and ``visiting_pairs_with`` forms each lcm from exponent tuples,
+passing over pairs by bitsets of its own.
 """
 
 from heapq import heapify, heappop, heappush
@@ -1051,6 +1051,18 @@ def test_pairs_match_visits_on_models(model):
     assert totals["monomial"] and totals["criterion"]
 
 
+def test_pairs_match_visits_on_a_non_unit_alpha():
+    # with the A(2,2) rays in this order alpha has the lead 2*c2*c1, and
+    # the criterion's unit condition decides four disjoint pairs under the cap
+    pres = presentation_from_arrangement(
+        a_n_c(2, 2), relabelled(a22_fan(), (4, 3, 5, 7, 2, 6, 0, 1)))
+    basis = GroebnerBasis(pres.table, pres.alpha())
+    assert 2 in basis._lc
+    totals = assert_pairs_match_visits(basis, pres.degree_cap)
+    assert totals == {"pairs": 2016, "over_cap": 791, "monomial": 903,
+                      "criterion": 138}
+
+
 @st.composite
 def indexed_bases(draw):
     """A weighted basis that may hold a constant, with every support mask of
@@ -1103,7 +1115,7 @@ def pairs_in_order(basis, cap, order):
 
 
 def test_pairs_out_of_order_match_pairs_in_order_on_models(model):
-    # the sweep indexes the elements below j on the first pairs_with(j)
+    # pairs_with(j) reads only the elements up to j, in any order
     basis = GroebnerBasis(model.table, model.alpha())
     n, cap = len(basis), model.degree_cap
     order = [(k * 7919 + 3) % n for k in range(n)]
